@@ -111,7 +111,7 @@ fn main() {
         },
     ));
 
-    // Single-request latency: admission ring + dispatcher + pool + handle.
+    // Single-request latency: admission ring + worker + handle.
     rows.push(measure("gateway_single_latency", 1, || {
         gw_steady
             .try_submit_classify(&keys[0], vec![black_box(x.clone())])
@@ -234,7 +234,7 @@ fn main() {
     drop(gw_adm);
 
     // Deadline churn: a full ring of already-expired requests. The
-    // dispatcher's lazy-expiry path resolves and refunds every one without
+    // workers' lazy-expiry path resolves and refunds every one without
     // ever touching the engine — the fixed per-request overhead deadlines
     // add to the admission/dispatch pipeline. elems = expiry verdicts.
     let (gw_dead, keys) = gateway(OverloadPolicy::ShedNewest, &mlp);

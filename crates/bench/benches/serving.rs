@@ -1,7 +1,9 @@
-//! Serving-engine throughput: the persistent `dp_serve` worker pool
-//! against the per-call scoped-thread batch engine, plus mixed-format
-//! traffic (posit + minifloat + fixed interleaved through one pool) and
-//! single-request latency.
+//! Serving-engine throughput: the persistent `dp_serve` worker pool —
+//! driven through its one front door, a `dp_gateway` ring with blocking
+//! (`OverloadPolicy::Block`) submission and tracing off — against the
+//! per-call scoped-thread batch engine, plus mixed-format traffic (posit +
+//! minifloat + fixed interleaved through one pool) and single-request
+//! latency.
 //!
 //! Run with `cargo bench --bench serving`. Writes the committed baseline
 //! `BENCH_serving.json` at the repository root (`results/smoke/` under
@@ -11,9 +13,10 @@ use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_bench::timing::{measure, out_path, render_measurements, smoke, write_json, Measurement};
 use dp_fixed::FixedFormat;
+use dp_gateway::{Gateway, OverloadPolicy, TraceConfig};
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
-use dp_serve::{ModelKey, ServeEngine};
+use dp_serve::ModelKey;
 use std::hint::black_box;
 
 fn main() {
@@ -56,12 +59,15 @@ fn main() {
     ];
 
     // One persistent engine serving every format from a single pool.
-    let engine = ServeEngine::with_defaults();
+    let gateway = Gateway::builder()
+        .policy(OverloadPolicy::Block)
+        .trace(TraceConfig::off())
+        .build();
     let keys: Vec<(&str, ModelKey, QuantizedMlp)> = configs
         .iter()
         .map(|(name, fmt)| {
             let q = QuantizedMlp::quantize(&mlp, *fmt);
-            let key = engine
+            let key = gateway
                 .registry()
                 .register("iris", q.clone())
                 .expect("bench formats have EMAC datapaths");
@@ -77,18 +83,18 @@ fn main() {
         }));
         // Persistent pool: admission + chunking + completion handle.
         rows.push(measure(&format!("{name}_engine_batch{b}"), b, || {
-            engine
+            gateway
                 .submit_forward(key, black_box(batch.clone()))
-                .expect("registered model")
+                .expect_admitted()
                 .wait()
                 .expect("serving job")
                 .len()
         }));
-        // Single-request round trip through queue + handle (latency).
+        // Single-request round trip through ring + handle (latency).
         rows.push(measure(&format!("{name}_engine_single"), 1, || {
-            engine
-                .submit_forward_one(key, black_box(x.clone()))
-                .expect("registered model")
+            gateway
+                .submit_forward(key, black_box(vec![x.clone()]))
+                .expect_admitted()
                 .wait()
                 .expect("serving job")
                 .len()
@@ -108,7 +114,7 @@ fn main() {
             .map(|r| {
                 let (_, key, _) = &keys[r % keys.len()];
                 let xs = batch[r * slice..(r + 1) * slice].to_vec();
-                engine.submit_forward(key, xs).expect("registered model")
+                gateway.submit_forward(key, xs).expect_admitted()
             })
             .collect();
         pending
@@ -129,7 +135,7 @@ fn main() {
         );
     }
 
-    let stats = engine.stats();
+    let stats = gateway.engine().stats();
     let path = out_path("serving");
     let meta = [
         ("bench", "serving".to_string()),
@@ -141,8 +147,9 @@ fn main() {
         (
             "note",
             "elems = inference samples; *_scoped_batch* is the per-call scoped-thread engine \
-             (before), *_engine_batch* the persistent dp_serve pool (after); mixed3_engine_burst \
-             interleaves posit/minifloat/fixed requests through one pool"
+             (before), *_engine_batch* the persistent dp_serve pool behind a blocking dp_gateway \
+             ring (after); mixed3_engine_burst interleaves posit/minifloat/fixed requests \
+             through one pool"
                 .to_string(),
         ),
     ];

@@ -3,8 +3,8 @@
 //! This module owns the *how many workers, how big a chunk* policy shared
 //! by every dataset-scale entry point, plus the scoped-thread parallel map
 //! the [`crate::quantized::QuantizedMlp`] batch methods fall back to. The
-//! long-lived serving path — a persistent worker pool with a request
-//! queue, completion handles and a multi-format model registry — lives in
+//! long-lived serving path — a persistent worker pool and a multi-format
+//! model registry — lives in
 //! the `dp_serve` crate and reuses this module's thread-count policy; the
 //! scoped path here stays alive as the zero-setup fallback and as the
 //! differential baseline the pool is tested against.

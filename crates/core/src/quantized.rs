@@ -25,11 +25,10 @@
 //!
 //! Partitioning policy (thread counts, chunking, the scoped-thread
 //! fallback) lives in [`crate::batch`]; the persistent serving path —
-//! long-lived worker pool, request queue, completion handles and a
-//! multi-format model registry — is the `dp_serve` crate, which drives
-//! the same [`QuantizedMlp::forward_bits_with`] /
-//! [`QuantizedMlp::infer_with`] inner loops and therefore stays
-//! bit-identical too.
+//! long-lived worker pool and a multi-format model registry — is the
+//! `dp_serve` crate, which runs the same
+//! [`QuantizedMlp::forward_batch_bits_with`] tile sweep over each chunk
+//! and therefore stays bit-identical too.
 
 pub use crate::batch::batch_threads;
 use crate::batch::{par_chunk_map_with, par_map_with};
@@ -326,8 +325,8 @@ impl QuantizedMlp {
 
     /// Predicted classes for a whole chunk via the tile sweep — the
     /// classify counterpart of [`QuantizedMlp::forward_batch_bits_with`],
-    /// shared by [`QuantizedMlp::infer_batch`] and the `dp_serve` chunk
-    /// path. Agrees with per-sample [`QuantizedMlp::infer_with`] exactly.
+    /// used by [`QuantizedMlp::infer_batch`]. Agrees with per-sample
+    /// [`QuantizedMlp::infer_with`] exactly.
     pub fn infer_batch_with(&self, emacs: &mut [EmacUnit], xs: &[Vec<f32>]) -> Vec<usize> {
         self.forward_batch_bits_with(emacs, xs)
             .iter()
@@ -383,13 +382,16 @@ impl QuantizedMlp {
     }
 
     /// [`QuantizedMlp::infer`] with caller-owned EMACs (one per layer, as
-    /// built by [`QuantizedMlp::make_layer_emacs`]) — the classify inner
-    /// loop shared by the batch engine and the `dp_serve` worker pool.
+    /// built by [`QuantizedMlp::make_layer_emacs`]).
     pub fn infer_with(&self, emacs: &mut [EmacUnit], x: &[f32]) -> usize {
         self.argmax_bits(&self.forward_bits_with(emacs, x))
     }
 
-    fn argmax_bits(&self, bits: &[u32]) -> usize {
+    /// The class a sample's output activations (bit patterns from
+    /// [`QuantizedMlp::forward_bits`] or a tile sweep) predict: the argmax
+    /// of their decoded values. `dp_serve` classifies a served chunk with
+    /// it.
+    pub fn argmax_bits(&self, bits: &[u32]) -> usize {
         let logits: Vec<f32> = bits.iter().map(|&b| self.format.to_f64(b) as f32).collect();
         argmax(&logits)
     }

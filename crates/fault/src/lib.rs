@@ -9,7 +9,7 @@
 //! misbehave, when, and how.
 //!
 //! * **Failure points** ([`points`]) — stable string names compiled into
-//!   the pool, dispatcher and chunk-evaluation seams:
+//!   the ring's pop path and the chunk-job seams:
 //!   [`points::PANIC_IN_CHUNK`], [`points::STALL_WORKER`],
 //!   [`points::DELAY_DISPATCH`], [`points::DROP_COMPLETION`]. Without the
 //!   `fault-inject` feature the hooks compile to nothing; with it but no
@@ -59,14 +59,14 @@ use std::time::Duration;
 /// |---|---|---|
 /// | `panic_in_chunk` | chunk evaluation (inside the caller's per-chunk closure, within its accounting guard) | the chunk's evaluation panics (exercises panic isolation and the panic budget) |
 /// | `stall_worker` | pool worker loop (`dp_serve`) | the worker sleeps mid-job (exercises heartbeats and the watchdog) |
-/// | `delay_dispatch` | gateway dispatcher (`dp_gateway`) | dispatch of a popped ring entry is delayed (exercises deadline expiry) |
+/// | `delay_dispatch` | ring pop (`dp_gateway`) | the start of a popped ring entry is delayed, before its deadline check (exercises deadline expiry) |
 /// | `drop_completion` | chunk completion (`dp_serve` job closure) | the finished chunk's completion is silently dropped (exercises `wait_timeout` + cancellation) |
 pub mod points {
     /// Chunk evaluation panics inside a pool worker.
     pub const PANIC_IN_CHUNK: &str = "panic_in_chunk";
     /// A pool worker sleeps mid-job, looking wedged to the watchdog.
     pub const STALL_WORKER: &str = "stall_worker";
-    /// The gateway dispatcher sleeps before dispatching a popped entry.
+    /// A worker sleeps after popping a ring entry, before starting it.
     pub const DELAY_DISPATCH: &str = "delay_dispatch";
     /// A finished chunk's completion is dropped instead of delivered.
     pub const DROP_COMPLETION: &str = "drop_completion";

@@ -149,6 +149,40 @@ fn panic_storm_trips_degraded_mode_and_log_is_deterministic() {
 }
 
 #[test]
+fn panicking_request_fails_only_its_own_handle() {
+    let _guard = serial();
+    // The first chunk evaluated for "poison" panics; "iris" traffic
+    // sharing the same single worker must not notice.
+    dp_fault::install(FaultPlan::seeded(5).inject_for_model(
+        points::PANIC_IN_CHUNK,
+        "poison",
+        Trigger::FirstN(1),
+        FaultAction::Panic,
+    ));
+    let (mlp, split) = trained_iris();
+    let gw = small_builder().build();
+    let q = quantized(&mlp);
+    let poison = gw.registry().register("poison", q.clone()).unwrap();
+    let key = gw.registry().register("iris", q.clone()).unwrap();
+    let xs = batch(&split, 12);
+    let poisoned = gw.try_submit_forward(&poison, xs.clone()).expect_admitted();
+    let healthy = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
+    assert_eq!(
+        poisoned.wait_timeout(WAIT),
+        Some(Err(GatewayError::Job(JobError::Panicked)))
+    );
+    let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
+    assert_eq!(healthy.wait_timeout(WAIT), Some(Ok(direct)));
+    gw.wait_idle();
+    let snap = gw.snapshot();
+    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.failed, 1);
+    assert_eq!(gw.engine().stats().panics, 1);
+    assert!(!gw.is_degraded(), "no panic budget configured");
+    dp_fault::clear();
+}
+
+#[test]
 fn stalled_worker_is_respawned_and_fails_only_the_stuck_request() {
     let _guard = serial();
     // The first "iris" chunk wedges its worker for 400 ms — far past the
@@ -196,7 +230,7 @@ fn stalled_worker_is_respawned_and_fails_only_the_stuck_request() {
 #[test]
 fn deadline_expiry_vs_dispatch_race_always_resolves_typed() {
     let _guard = serial();
-    // Every dispatch is delayed 30 ms, so a 10 ms deadline reliably loses
+    // Every start is delayed 30 ms, so a 10 ms deadline reliably loses
     // the race and a 10 s deadline reliably wins it — and either way the
     // handle resolves to a typed outcome.
     dp_fault::install(FaultPlan::seeded(23).inject(
@@ -245,7 +279,7 @@ fn deadline_expiry_vs_dispatch_race_always_resolves_typed() {
     assert_eq!(snap.deadline_exceeded, 4);
     assert_eq!(snap.completed, 4);
     assert_eq!(snap.per_model[0].expired, 4);
-    // The dispatcher logged a delay firing per popped entry.
+    // A delay fired for every popped entry.
     assert_eq!(dp_fault::take_log().len(), 8);
     dp_fault::clear();
 }
@@ -276,7 +310,7 @@ fn conservation_holds_under_2x_overload_with_expiry_and_cancel() {
     let xs = batch(&split, 4);
     let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
 
-    // 2× ring capacity against a paused dispatcher: half admitted, half
+    // 2× ring capacity against a paused ring: half admitted, half
     // shed. Of the admitted, 2 carry an already-passed deadline and 2 are
     // cancelled while queued.
     gw.pause_dispatch();
@@ -391,9 +425,9 @@ fn dropped_completion_times_out_then_cancel_recovers_the_handle() {
 fn shutdown_under_wedged_load_is_bounded_by_the_drain_deadline() {
     let _guard = serial();
     // Every chunk wedges its worker for 1.5 s; the watchdog respawns at
-    // 60 ms, and the dispatcher may hand the engine only one chunk at a
-    // time — so draining the backlog would take seconds. The 150 ms drain
-    // deadline must cut that short with typed Closed verdicts.
+    // 60 ms, and the one worker runs one chunk at a time — so draining
+    // the backlog would take seconds. The 150 ms drain deadline must cut
+    // that short with typed Closed verdicts.
     dp_fault::install(FaultPlan::seeded(43).inject(
         points::STALL_WORKER,
         Trigger::Always,
@@ -404,7 +438,6 @@ fn shutdown_under_wedged_load_is_bounded_by_the_drain_deadline() {
         .workers(1)
         .chunk_samples(4)
         .queue_capacity(16)
-        .max_inflight_chunks(1)
         .watchdog(watchdog())
         .drain_deadline(Duration::from_millis(150))
         .build();
@@ -423,7 +456,7 @@ fn shutdown_under_wedged_load_is_bounded_by_the_drain_deadline() {
         "bounded drain took {elapsed:?}"
     );
 
-    // Every handle resolved to a typed outcome — dispatched ones to the
+    // Every handle resolved to a typed outcome — started ones to the
     // stall verdict, drain-aborted ones to Closed; none hang.
     let mut stalled = 0usize;
     let mut closed = 0usize;
@@ -437,7 +470,7 @@ fn shutdown_under_wedged_load_is_bounded_by_the_drain_deadline() {
             other => panic!("unexpected shutdown outcome: {other:?}"),
         }
     }
-    assert!(stalled >= 1, "at least the first request was dispatched");
+    assert!(stalled >= 1, "at least the first request was started");
     assert!(closed >= 1, "the drain deadline must abort the tail");
     assert_eq!(stalled + closed, handles.len());
     dp_fault::clear();

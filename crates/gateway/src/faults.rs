@@ -6,14 +6,11 @@
 //! carry zero overhead.
 
 pub(crate) mod points {
-    /// Fired by the dispatcher right after popping a ring entry, scoped by
-    /// the request's logical model name. A planned `Sleep` here widens the
-    /// expiry-vs-dispatch race window deterministically.
+    /// Fired by a worker right after it pops a request from the ring,
+    /// before the request's deadline is checked, scoped by the request's
+    /// logical model name. A planned `Sleep` here widens the
+    /// expiry-vs-start race window deterministically.
     pub(crate) const DELAY_DISPATCH: &str = "delay_dispatch";
-    /// Fired inside the gateway's per-chunk closure, after the chunk
-    /// accounting guard exists, so an injected panic unwinds through the
-    /// request metrics exactly like a real evaluation panic.
-    pub(crate) const PANIC_IN_CHUNK: &str = "panic_in_chunk";
 }
 
 #[cfg(feature = "fault-inject")]

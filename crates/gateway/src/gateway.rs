@@ -3,21 +3,22 @@
 //! per-model rate limits, request deadlines and cancellation.
 //!
 //! ```text
-//! clients ──try_submit──▶ [bounded ring] ──dispatcher──▶ [engine injector] ──▶ workers
-//!              │                │ (overload policy:            │ (throttled: at most
-//!              │ verdicts       │  Block / ShedNewest /        │  max_inflight_chunks
-//!              ▼                │  ShedOldest;                 │  queued + running;
-//!        Admitted / QueueFull / │  lazy deadline expiry)       │  watchdog + panic budget)
+//! clients ──try_submit──▶ [bounded ring] ──take──▶ engine workers, chunk by chunk
+//!              │                │ (overload policy:          │ (fair across models,
+//!              │ verdicts       │  Block / ShedNewest /      │  request-FIFO within one;
+//!              ▼                │  ShedOldest; lazy expiry   │  watchdog + panic
+//!        Admitted / QueueFull / │  when a worker pops)       │  budget)
 //!        ModelUnknown / RateLimited / Degraded
 //! ```
 //!
 //! Admission never blocks on [`Gateway::try_submit_forward`] /
 //! [`Gateway::try_submit_classify`]: the caller gets a typed
-//! [`Admission`] verdict immediately. A single dispatcher thread drains
-//! the ring and forwards requests through the engine's non-blocking
-//! [`ServeEngine::try_dispatch`] seam, throttled so the engine's internal
-//! queue stays bounded too — backpressure surfaces in the ring, where the
-//! overload policy decides who pays for a burst.
+//! [`Admission`] verdict immediately. The ring is the only queue between
+//! admission and evaluation: the engine's workers take requests from it
+//! directly — fairly between logical models, in admission order within
+//! one — and split each into chunks as they take it, so
+//! backpressure surfaces in the ring, where the overload policy decides
+//! who pays for a burst.
 //!
 //! # Request lifecycle
 //!
@@ -27,42 +28,36 @@
 //!     │             ├─▶ shed      ├─▶ failed (chunk panic / stall)
 //!     │             ├─▶ expired   └─▶ cancelled (mid-flight)
 //!     │             ├─▶ cancelled (while queued)
-//!     │             └─▶ dropped (closed / drain deadline / degraded)
+//!     │             └─▶ dropped (drain deadline / degraded)
 //!     └─▶ rejected (queue full / unknown / rate limited /
 //!                   unsupported / closed / degraded)
 //! ```
 //!
-//! Every admitted request resolves to exactly one typed outcome through
-//! its [`GatewayHandle`] — shed, expired, cancelled and dropped requests
-//! resolve promptly rather than hanging, and [`GatewayHandle::wait_timeout`]
-//! bounds any residual wait.
+//! *Dispatched* means a worker took the request out of the ring: from
+//! then on it can no longer be evicted or expire. Every admitted request
+//! resolves to exactly one typed outcome through its [`GatewayHandle`] —
+//! shed, expired, cancelled and dropped requests resolve promptly rather
+//! than hanging, and [`GatewayHandle::wait_timeout`] bounds any residual
+//! wait.
 
 use crate::check::check_yield;
 use crate::faults;
-use crate::handle::{GatewayError, GatewayHandle, HandleCell};
+use crate::handle::{GatewayError, GatewayHandle, HandleCell, Settled};
 use crate::limiter::{RateLimit, TokenBucket};
 use crate::metrics::{bump, bump_by, GatewayMetrics, MetricsSnapshot, ModelMetrics};
-use crate::ring::{SubmissionRing, TryPush};
+use crate::ring::{Queued, SubmissionRing, Take, TryPush};
 use deep_positron::{NumericFormat, QuantizedMlp};
 use dp_serve::{
-    classify_chunk_cancellable, forward_chunk_cancellable, CancelToken, DispatchOptions,
-    EngineConfig, JobError, ModelKey, ModelRegistry, PanicBudget, ServeEngine, ServeError,
-    WatchdogConfig,
+    chunk_job, eval_chunk, CancelToken, ChunkRequest, EngineConfig, Health, Job, JobError,
+    JobSource, ModelKey, ModelRegistry, PanicBudget, ServeEngine, WatchdogConfig,
 };
 use dp_trace::{Clock, Recorder, TerminalKind, TraceConfig, TraceCtx};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// How long the dispatcher sleeps per headroom-wait slice; bounds how
-/// stale a deadline/drain check can get while the engine is saturated.
-const DISPATCH_POLL: Duration = Duration::from_millis(20);
-
-/// Cancel-aware per-chunk evaluator shape (forward bits or class indices),
-/// shared with the engine's canonical evaluators.
-type ChunkEval<T> = fn(&QuantizedMlp, &[Vec<f32>], &CancelToken) -> Result<Vec<T>, JobError>;
 
 /// What a full submission ring does with the overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +73,7 @@ pub enum OverloadPolicy {
     ShedNewest,
     /// Evict the **oldest** queued request (its handle resolves to
     /// [`GatewayError::Shed`]) and admit the newcomer. Favors fresh
-    /// traffic — the evictee was going to be the staleset response anyway.
+    /// traffic — the evictee was going to be the stalest response anyway.
     ShedOldest,
 }
 
@@ -93,8 +88,8 @@ impl OverloadPolicy {
     }
 }
 
-/// Per-request submission options: a completion deadline and a priority
-/// hint, carried with the request through the ring.
+/// Per-request submission options: a deadline and a trace identity,
+/// carried with the request through the ring.
 ///
 /// ```
 /// use dp_gateway::SubmitOptions;
@@ -105,15 +100,11 @@ impl OverloadPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOptions {
-    /// Absolute deadline: if the dispatcher has not handed the request to
-    /// the engine by this instant, it is lazily expired — the handle
-    /// resolves to [`GatewayError::DeadlineExceeded`] and the request's
-    /// rate-limit tokens are refunded. `None` (the default) never expires.
+    /// Absolute deadline: if no worker has started the request by this
+    /// instant, it is lazily expired — the handle resolves to
+    /// [`GatewayError::DeadlineExceeded`] and the request's rate-limit
+    /// tokens are refunded. `None` (the default) never expires.
     pub deadline: Option<Instant>,
-    /// Advisory priority (0 = most urgent). Carried in the ring entry but
-    /// not yet acted on — dispatch stays FIFO until priority classes land
-    /// (see ROADMAP); recorded now so the wire format is forward-stable.
-    pub priority_hint: Option<u8>,
     /// Request id for the flight recorder: network front ends pass the
     /// wire request id so timelines correlate with client logs; `None`
     /// makes the gateway assign one (high bit set, to keep the spaces
@@ -126,7 +117,7 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Default options: no deadline, no priority hint.
+    /// Default options: no deadline, no trace identity.
     pub fn new() -> Self {
         Self::default()
     }
@@ -143,12 +134,6 @@ impl SubmitOptions {
         // deadline at the submission boundary; the gateway's seam-based
         // clock only *checks* deadlines, it does not mint them.
         self.deadline = Some(Instant::now() + timeout);
-        self
-    }
-
-    /// Sets the advisory priority hint (0 = most urgent).
-    pub fn priority_hint(mut self, hint: u8) -> Self {
-        self.priority_hint = Some(hint);
         self
     }
 
@@ -179,7 +164,7 @@ pub enum Admission<T> {
     /// Admitted; results arrive through the handle (which may still
     /// resolve to [`GatewayError::Shed`] under `ShedOldest` pressure, or
     /// to [`GatewayError::DeadlineExceeded`] if its deadline passes
-    /// undispatched).
+    /// before a worker starts it).
     Admitted(GatewayHandle<T>),
     /// The ring was full and the policy shed this request. Nothing was
     /// enqueued; retry later or switch policy.
@@ -242,32 +227,129 @@ impl<T> Admission<T> {
     }
 }
 
-/// One queued request, typed by its result shape.
+/// A request's per-sample answer: raw output activations (forward) or a
+/// class (classify).
+trait Output: Clone + Send + Sync + 'static {
+    /// Whether the answer needs the EMAC datapath (raw activations are
+    /// undefined for the `F32` baseline).
+    const NEEDS_EMAC: bool;
+
+    /// Evaluates one chunk of samples.
+    fn eval(model: &QuantizedMlp, xs: &[Vec<f32>]) -> Vec<Self>;
+}
+
+impl Output for Vec<u32> {
+    const NEEDS_EMAC: bool = true;
+
+    fn eval(model: &QuantizedMlp, xs: &[Vec<f32>]) -> Vec<Self> {
+        eval_chunk(model, xs)
+    }
+}
+
+impl Output for usize {
+    const NEEDS_EMAC: bool = false;
+
+    fn eval(model: &QuantizedMlp, xs: &[Vec<f32>]) -> Vec<Self> {
+        if matches!(model.format, NumericFormat::F32) {
+            // The f32 baseline has no EMAC datapath: plain float math.
+            return xs.iter().map(|x| model.infer(x)).collect();
+        }
+        eval_chunk(model, xs)
+            .iter()
+            .map(|bits| model.argmax_bits(bits))
+            .collect()
+    }
+}
+
+/// One admitted request: queued in the ring, then — once a worker starts
+/// it — shared by its chunk jobs.
 struct Request<T> {
     /// Logical model name — the rate-limit bucket key (kept so an
     /// eviction or expiry can refund the tokens this request was
     /// charged) and the fault-injection scope.
     model_name: String,
+    /// The ring lane: a hash of `model_name`.
+    lane: u64,
     model: Arc<QuantizedMlp>,
     xs: Vec<Vec<f32>>,
+    chunk_samples: usize,
     cell: Arc<HandleCell<T>>,
+    metrics: Arc<GatewayMetrics>,
     model_metrics: Arc<ModelMetrics>,
+    /// The gateway's clock seam: queue wait and service time are measured
+    /// on it so tests can virtualize them.
+    clock: Clock,
     enqueued: Instant,
-    /// Lazily enforced by the dispatcher; see [`SubmitOptions::deadline`].
+    /// When a worker started the request (service time runs from here).
+    started: OnceLock<Instant>,
+    /// Lazily enforced when a worker pops the request; see
+    /// [`SubmitOptions::deadline`].
     deadline: Option<Instant>,
-    /// Carried for future priority-class dispatch (ROADMAP); FIFO today.
-    #[allow(dead_code)]
-    priority_hint: Option<u8>,
-    /// The handle's cancel token, shared with the chunk jobs at dispatch.
-    cancel: CancelToken,
     /// Flight-recorder context (`None` when tracing is off); stamped at
     /// each pipeline stage, emits the terminal event at resolution.
     trace: Option<TraceCtx>,
 }
 
-impl<T: Clone + Send + 'static> Request<T> {
-    /// Resolves the request without dispatching it.
-    fn resolve_undispatched(self, reason: GatewayError) {
+/// A ring entry: one admitted request of either answer shape.
+trait Entry: Send + Sync {
+    /// Logical model name (the rate-limit bucket key).
+    fn model_name(&self) -> &str;
+    /// The ring lane: one per logical model.
+    fn lane(&self) -> u64;
+    /// Samples this request carries.
+    fn samples(&self) -> usize;
+    /// Chunks the request splits into.
+    fn chunks(&self) -> usize;
+    /// The request's deadline, if any.
+    fn deadline(&self) -> Option<Instant>;
+    /// Whether the handle's cancel token has fired.
+    fn is_cancelled(&self) -> bool;
+    /// Resolves the request without starting it.
+    fn resolve_unstarted(&self, reason: GatewayError);
+    /// Marks the request dispatched; returns its chunk count.
+    fn start(&self) -> usize;
+    /// Chunk `index` as a pool job.
+    fn job(self: Arc<Self>, index: usize) -> Job;
+}
+
+type Pending = Arc<dyn Entry>;
+
+impl Queued for Pending {
+    fn lane(&self) -> u64 {
+        Entry::lane(&**self)
+    }
+
+    fn cost(&self) -> u64 {
+        self.samples() as u64
+    }
+}
+
+impl<T: Output> Entry for Request<T> {
+    fn model_name(&self) -> &str {
+        &self.model_name
+    }
+
+    fn lane(&self) -> u64 {
+        self.lane
+    }
+
+    fn samples(&self) -> usize {
+        self.xs.len()
+    }
+
+    fn chunks(&self) -> usize {
+        self.xs.len().div_ceil(self.chunk_samples)
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn is_cancelled(&self) -> bool {
+        self.cell.cancel_token().is_cancelled()
+    }
+
+    fn resolve_unstarted(&self, reason: GatewayError) {
         match reason {
             GatewayError::Shed => bump(&self.model_metrics.shed),
             GatewayError::DeadlineExceeded => bump(&self.model_metrics.expired),
@@ -279,244 +361,199 @@ impl<T: Clone + Send + 'static> Request<T> {
         self.cell.resolve(Err(reason));
     }
 
-    /// Forwards to the engine, wiring per-chunk completion accounting and
-    /// the request's cancel token.
-    fn dispatch(
-        self,
-        engine: &ServeEngine,
-        metrics: &Arc<GatewayMetrics>,
-        clock: &Clock,
-        eval: ChunkEval<T>,
-    ) {
-        let Request {
-            model_name,
-            model,
-            xs,
-            cell,
-            model_metrics,
-            enqueued,
-            deadline: _,
-            priority_hint: _,
-            cancel,
-            trace,
-        } = self;
-        let now = clock.now();
-        metrics
+    fn start(&self) -> usize {
+        let now = self.clock.now();
+        let _ = self.started.set(now);
+        self.metrics
             .queue_wait
-            .record_ns(now.saturating_duration_since(enqueued).as_nanos() as u64);
-        let n_chunks = xs.len().div_ceil(engine.chunk_samples());
-        if let Some(t) = &trace {
-            t.dispatched(n_chunks as u64);
+            .record_ns(now.saturating_duration_since(self.enqueued).as_nanos() as u64);
+        let chunks = self.chunks();
+        if let Some(t) = &self.trace {
+            t.dispatched(chunks as u64);
         }
-        let ctx = Arc::new(RequestCtx {
-            remaining: AtomicUsize::new(n_chunks),
-            failed: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            started: now,
-            clock: clock.clone(),
-            samples: xs.len() as u64,
-            metrics: Arc::clone(metrics),
-            model_metrics,
-            trace,
-        });
-        let eval_cancel = cancel.clone();
-        let fault_scope = model_name.clone();
-        // For the dispatch-failure arms below: the context (and the trace
-        // handle inside it) moves into the per-chunk closure.
-        let trace_err = ctx.trace.clone();
-        let per_chunk = move |m: &QuantizedMlp, chunk: &[Vec<f32>]| {
-            // The guard's Drop runs even if `eval` panics (during the
-            // unwind the engine's job wrapper catches), so every chunk is
-            // accounted and the last one closes out the request metrics.
-            // The injected panic point sits inside the guard's extent for
-            // the same reason.
-            let guard = ChunkGuard {
-                ctx: Arc::clone(&ctx),
-            };
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&fault_scope));
-            let result = eval(m, chunk, &eval_cancel);
-            match &result {
-                // relaxed-ok: (audited, was SeqCst) the store is ordered
-                // before this thread's `remaining` decrement, whose
-                // release/acquire chain publishes it to the last chunk
-                // out — see `ChunkGuard::drop`.
-                Err(JobError::Cancelled) => guard.ctx.cancelled.store(true, Ordering::Relaxed),
-                // relaxed-ok: (audited, was SeqCst) see the arm above.
-                Err(_) => guard.ctx.failed.store(true, Ordering::Relaxed),
-                Ok(_) => {}
-            }
-            result
-        };
-        let opts = DispatchOptions {
-            scope: Some(model_name),
-            cancel: Some(cancel),
-        };
-        match engine.try_dispatch_with(model, xs, opts, per_chunk) {
-            Ok(inner) => {
-                bump(&metrics.dispatched);
-                cell.dispatched(inner);
-            }
-            Err(ServeError::Degraded) => {
-                // The panic budget tripped between admission and dispatch:
-                // the admitted request is dropped with a typed verdict.
-                bump(&metrics.rejected_degraded);
-                if let Some(t) = &trace_err {
-                    t.resolve(TerminalKind::Degraded);
-                }
-                cell.resolve(Err(GatewayError::Degraded));
-            }
-            Err(_) => {
-                // Engine closed under a still-queued request (only
-                // possible if the engine is shut down out from under the
-                // gateway): resolve rather than hang the handle.
-                bump(&metrics.dropped_closed);
-                if let Some(t) = &trace_err {
-                    t.resolve(TerminalKind::Closed);
-                }
-                cell.resolve(Err(GatewayError::Closed));
-            }
-        }
+        bump(&self.metrics.dispatched);
+        self.cell.dispatched(chunks);
+        chunks
+    }
+
+    fn job(self: Arc<Self>, index: usize) -> Job {
+        chunk_job(self, index)
     }
 }
 
-/// Per-request completion context shared by its chunk jobs.
-struct RequestCtx {
-    remaining: AtomicUsize,
-    failed: AtomicBool,
-    cancelled: AtomicBool,
-    started: Instant,
-    /// The gateway's clock seam: service time is measured on it so the
-    /// interleaving checker can virtualize trace/metric time.
-    clock: Clock,
-    samples: u64,
-    metrics: Arc<GatewayMetrics>,
-    model_metrics: Arc<ModelMetrics>,
-    trace: Option<TraceCtx>,
-}
+impl<T: Output> ChunkRequest for Request<T> {
+    type Out = T;
 
-/// Decrements the chunk countdown on drop (normal return *or* panic
-/// unwind); the last chunk out records service time and the
-/// completed/failed/cancelled verdict.
-///
-/// The counters record what the workers actually executed: a request the
-/// watchdog failed with [`JobError::Stalled`] surfaces that error on its
-/// handle immediately, while its wedged evaluation — if it ever finishes
-/// on the abandoned thread — is what lands here.
-struct ChunkGuard {
-    ctx: Arc<RequestCtx>,
-}
+    fn scope(&self) -> &str {
+        &self.model_name
+    }
 
-impl Drop for ChunkGuard {
-    fn drop(&mut self) {
-        let ctx = &self.ctx;
+    fn cancel_token(&self) -> &CancelToken {
+        self.cell.cancel_token()
+    }
+
+    fn eval(&self, index: usize) -> Vec<T> {
+        let from = index * self.chunk_samples;
+        let to = (from + self.chunk_samples).min(self.xs.len());
+        T::eval(&self.model, &self.xs[from..to])
+    }
+
+    /// The last chunk out records the request's outcome — service time
+    /// and the completed/failed/cancelled counters, the trace terminal —
+    /// and only then resolves the handle, so a caller woken by the handle
+    /// already sees final counters. The counters record what the workers
+    /// did: a request whose handle a caller cancelled while its started
+    /// chunks ran to completion counts as completed.
+    fn settle(&self, index: usize, result: Result<Vec<T>, JobError>, delivered: bool) {
         check_yield!("gateway.chunk.settle");
-        if std::thread::panicking() {
-            // relaxed-ok: (audited, was SeqCst) ordered before this
-            // thread's decrement below; the countdown's release/acquire
-            // chain publishes it to the last chunk out.
-            ctx.failed.store(true, Ordering::Relaxed);
-        }
-        // AcqRel (audited, was SeqCst): every chunk's flag stores are
-        // ordered before its own decrement; each decrement releases and
-        // the final one (observing 1) acquires the whole chain, so the
-        // last chunk out sees every other chunk's `failed`/`cancelled`
-        // stores — the same edge `Arc::drop` uses to free its payload.
-        // No path here compares against any other atomic, so the SeqCst
-        // total order bought nothing.
-        if let Some(t) = &ctx.trace {
+        if let Some(t) = &self.trace {
             t.chunk_done();
         }
-        if ctx.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // relaxed-ok: (audited, was SeqCst) the AcqRel decrement
-            // above already synchronized with every store (same for the
-            // `cancelled` load below).
-            if ctx.failed.load(Ordering::Relaxed) {
-                bump(&ctx.metrics.failed);
-                bump(&ctx.model_metrics.failed);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Failed);
-                }
-            // relaxed-ok: see the `failed` load above.
-            } else if ctx.cancelled.load(Ordering::Relaxed) {
-                // Cancelled mid-flight: neither completed nor failed.
-                bump(&ctx.metrics.cancelled);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Cancelled);
-                }
-            } else {
+        let Some((settled, resolution)) = self.cell.settle_chunk(index, result, delivered) else {
+            return;
+        };
+        let (metrics, model_metrics) = (&self.metrics, &self.model_metrics);
+        let kind = match settled {
+            Settled::Failed(_) => {
+                bump(&metrics.failed);
+                bump(&model_metrics.failed);
+                TerminalKind::Failed
+            }
+            // Cancelled mid-flight: neither completed nor failed.
+            Settled::Cancelled => {
+                bump(&metrics.cancelled);
+                TerminalKind::Cancelled
+            }
+            Settled::Completed => {
                 // Service time covers completed requests only, so
-                // service_ns / completed is a true per-model mean (a
-                // failed request would otherwise inflate it).
-                let ns = ctx
+                // service_ns / completed is a true per-model mean.
+                let started = self.started.get().copied().unwrap_or(self.enqueued);
+                let ns = self
                     .clock
                     .now()
-                    .saturating_duration_since(ctx.started)
+                    .saturating_duration_since(started)
                     .as_nanos() as u64;
-                ctx.metrics.service.record_ns(ns);
-                bump_by(&ctx.model_metrics.service_ns, ns);
-                bump(&ctx.metrics.completed);
-                bump(&ctx.model_metrics.completed);
-                bump_by(&ctx.metrics.samples_completed, ctx.samples);
-                bump_by(&ctx.model_metrics.samples, ctx.samples);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Completed);
+                let samples = self.xs.len() as u64;
+                metrics.service.record_ns(ns);
+                bump_by(&model_metrics.service_ns, ns);
+                bump(&metrics.completed);
+                bump(&model_metrics.completed);
+                bump_by(&metrics.samples_completed, samples);
+                bump_by(&model_metrics.samples, samples);
+                TerminalKind::Completed
+            }
+        };
+        if let Some(t) = &self.trace {
+            t.resolve(kind);
+        }
+        if let Some(r) = resolution {
+            self.cell.resolve(r);
+        }
+    }
+}
+
+/// The workers' side of the gateway: the engine's [`JobSource`]. A worker
+/// takes a running request's next chunk or pops the next request, starts
+/// it (or discards it, if it died in the ring) and runs its first chunk.
+struct Intake {
+    ring: SubmissionRing<Pending>,
+    metrics: Arc<GatewayMetrics>,
+    /// Per-model token buckets; a request discarded in the ring gets the
+    /// tokens admission charged it back.
+    limiters: HashMap<String, TokenBucket>,
+    clock: Clock,
+    recorder: Option<Arc<Recorder>>,
+    drain_deadline: Duration,
+    /// Whether the drain-deadline abort has been logged yet.
+    drain_logged: AtomicBool,
+}
+
+impl Intake {
+    /// Why a popped entry must not start: it was cancelled or expired in
+    /// the ring, the engine is degraded, or shutdown's drain deadline has
+    /// passed. `now` comes off the clock seam so expiry is virtualizable.
+    fn dead_verdict(&self, entry: &dyn Entry, health: &Health) -> Option<GatewayError> {
+        if entry.is_cancelled() {
+            Some(GatewayError::Cancelled)
+        } else if entry.deadline().is_some_and(|d| self.clock.now() >= d) {
+            Some(GatewayError::DeadlineExceeded)
+        } else if health.is_degraded() {
+            Some(GatewayError::Degraded)
+        } else if self
+            .ring
+            .closing_since()
+            .is_some_and(|at| at.elapsed() >= self.drain_deadline)
+        {
+            Some(GatewayError::Closed)
+        } else {
+            None
+        }
+    }
+
+    /// Resolves a dead entry with its verdict: refunds the rate-limit
+    /// tokens admission charged, bumps the matching counters, resolves
+    /// the handle.
+    fn discard(&self, entry: &dyn Entry, reason: GatewayError) {
+        if let Some(bucket) = self.limiters.get(entry.model_name()) {
+            bucket.refund(entry.samples() as f64);
+        }
+        let metrics = &self.metrics;
+        match reason {
+            GatewayError::DeadlineExceeded => bump(&metrics.deadline_exceeded),
+            GatewayError::Cancelled => bump(&metrics.cancelled),
+            GatewayError::Degraded => bump(&metrics.rejected_degraded),
+            GatewayError::Closed => {
+                // relaxed-ok: log-once latch; no other memory hangs off it.
+                if !self.drain_logged.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "dp-gateway: shutdown drain exceeded its {:?} deadline; \
+                         resolving remaining queued requests as Closed",
+                        self.drain_deadline
+                    );
+                }
+                bump(&metrics.drain_aborted);
+                bump(&metrics.dropped_closed);
+            }
+            _ => {}
+        }
+        entry.resolve_unstarted(reason);
+    }
+}
+
+impl JobSource for Intake {
+    fn next_job(&self, health: &Health) -> Option<Job> {
+        loop {
+            let entry = match self.ring.take()? {
+                Take::Chunk(entry, index) => return Some(entry.job(index)),
+                Take::Start(entry) => entry,
+            };
+            // Fault seam: a planned sleep here delays the start of a
+            // popped request and deterministically widens the
+            // expiry-vs-start race window.
+            faults::fire(faults::points::DELAY_DISPATCH, Some(entry.model_name()));
+            // Pop-side queue-depth sample for `/statusz`: together with
+            // the admission-side samples this brackets the depth every
+            // request saw around its ring transit.
+            if let Some(rec) = &self.recorder {
+                rec.note_queue_depth(self.ring.len());
+            }
+            match self.dead_verdict(&*entry, health) {
+                None => {
+                    let chunks = entry.start();
+                    self.ring.started(Some((Arc::clone(&entry), chunks)));
+                    return Some(entry.job(0));
+                }
+                Some(reason) => {
+                    self.ring.started(None);
+                    self.discard(&*entry, reason);
+                    self.ring.settle();
                 }
             }
         }
     }
-}
 
-/// Ring entry: a request of either result shape.
-enum Pending {
-    Forward(Request<Vec<u32>>),
-    Classify(Request<usize>),
-}
-
-impl Pending {
-    /// Samples this request carries (→ chunk jobs when dispatched).
-    fn samples(&self) -> usize {
-        match self {
-            Pending::Forward(r) => r.xs.len(),
-            Pending::Classify(r) => r.xs.len(),
-        }
-    }
-
-    /// Logical model name (the rate-limit bucket key).
-    fn model_name(&self) -> &str {
-        match self {
-            Pending::Forward(r) => &r.model_name,
-            Pending::Classify(r) => &r.model_name,
-        }
-    }
-
-    /// The request's completion deadline, if any.
-    fn deadline(&self) -> Option<Instant> {
-        match self {
-            Pending::Forward(r) => r.deadline,
-            Pending::Classify(r) => r.deadline,
-        }
-    }
-
-    /// Whether the handle's cancel token has fired.
-    fn is_cancelled(&self) -> bool {
-        match self {
-            Pending::Forward(r) => r.cancel.is_cancelled(),
-            Pending::Classify(r) => r.cancel.is_cancelled(),
-        }
-    }
-
-    fn resolve_undispatched(self, reason: GatewayError) {
-        match self {
-            Pending::Forward(r) => r.resolve_undispatched(reason),
-            Pending::Classify(r) => r.resolve_undispatched(reason),
-        }
-    }
-
-    fn dispatch(self, engine: &ServeEngine, metrics: &Arc<GatewayMetrics>, clock: &Clock) {
-        match self {
-            Pending::Forward(r) => r.dispatch(engine, metrics, clock, forward_chunk_cancellable),
-            Pending::Classify(r) => r.dispatch(engine, metrics, clock, classify_chunk_cancellable),
-        }
+    fn job_settled(&self) {
+        self.ring.settle();
     }
 }
 
@@ -528,7 +565,6 @@ pub struct GatewayBuilder {
     workers: usize,
     chunk_samples: usize,
     queue_capacity: usize,
-    max_inflight_chunks: usize,
     policy: OverloadPolicy,
     rate_limits: Vec<(String, RateLimit)>,
     drain_deadline: Duration,
@@ -544,8 +580,6 @@ impl Default for GatewayBuilder {
             workers: deep_positron::batch::batch_threads(),
             chunk_samples: 64,
             queue_capacity: 128,
-            // 0 = derive from the worker count at build time.
-            max_inflight_chunks: 0,
             policy: OverloadPolicy::ShedNewest,
             rate_limits: Vec::new(),
             drain_deadline: Duration::from_secs(30),
@@ -571,30 +605,17 @@ impl GatewayBuilder {
         self
     }
 
-    /// Samples per chunk job (see [`EngineConfig::chunk_samples`]).
+    /// Samples per chunk (see [`EngineConfig::chunk_samples`]).
     pub fn chunk_samples(mut self, chunk_samples: usize) -> Self {
         self.chunk_samples = chunk_samples.max(1);
         self
     }
 
     /// Submission-ring capacity in **requests** (clamped ≥ 1): the most
-    /// traffic that can wait for dispatch before the overload policy
+    /// unstarted traffic that can wait before the overload policy
     /// engages.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Upper bound on chunk jobs queued + running inside the engine
-    /// (clamped ≥ 1); the dispatcher waits until a request's chunks fit
-    /// under it before dispatching, so backlog surfaces in the bounded
-    /// ring instead of the engine's internal queue. A single request
-    /// bigger than the whole bound is dispatched alone against a drained
-    /// engine, so the engine's instantaneous job count never exceeds
-    /// `max(max_inflight_chunks, ceil(largest_request / chunk_samples))`.
-    /// Defaults to `4 × workers`, at least 8.
-    pub fn max_inflight_chunks(mut self, chunks: usize) -> Self {
-        self.max_inflight_chunks = chunks.max(1);
         self
     }
 
@@ -616,11 +637,10 @@ impl GatewayBuilder {
     }
 
     /// Bounds how long shutdown spends draining the ring backlog through
-    /// a saturated engine (default 30 s). Past the deadline the
-    /// dispatcher stops feeding the engine and resolves every remaining
-    /// queued request to [`GatewayError::Closed`] (counted in the
-    /// `drain_aborted` metric and logged), so `Drop` cannot hang on a
-    /// wedged or overloaded pool.
+    /// a saturated engine (default 30 s). Past the deadline, workers
+    /// resolve every request they pop to [`GatewayError::Closed`]
+    /// (counted in the `drain_aborted` metric and logged) instead of
+    /// starting it, so `Drop` cannot hang on a wedged or overloaded pool.
     pub fn drain_deadline(mut self, deadline: Duration) -> Self {
         self.drain_deadline = deadline;
         self
@@ -661,224 +681,72 @@ impl GatewayBuilder {
         self
     }
 
-    /// Builds the gateway: spawns the engine's worker pool (plus its
-    /// watchdog, if configured) and the dispatcher thread.
+    /// Builds the gateway: the ring, and the engine's worker pool (plus
+    /// its watchdog, if configured) pulling from it.
     pub fn build(self) -> Gateway {
-        let engine = Arc::new(ServeEngine::new(EngineConfig {
-            workers: self.workers,
-            chunk_samples: self.chunk_samples,
-            watchdog: self.watchdog,
-            panic_budget: self.panic_budget,
-        }));
-        let max_inflight = if self.max_inflight_chunks == 0 {
-            (engine.workers() * 4).max(8)
-        } else {
-            self.max_inflight_chunks
-        };
-        let ring = Arc::new(SubmissionRing::new(self.queue_capacity));
-        let metrics = Arc::new(GatewayMetrics::default());
-        // Shared with the dispatcher so lazily expired requests can
-        // refund the tokens admission charged them.
-        let limiters: Arc<HashMap<String, TokenBucket>> = Arc::new(
-            self.rate_limits
-                .into_iter()
-                .map(|(name, limit)| (name, TokenBucket::new(limit)))
-                .collect(),
-        );
-        let drain_deadline = self.drain_deadline;
         let clock = self.clock.unwrap_or_default();
         let recorder = if self.trace.enabled {
             Some(Recorder::new(self.trace, clock.clone()))
         } else {
             None
         };
-        let dispatcher = {
-            let ring = Arc::clone(&ring);
-            let engine = Arc::clone(&engine);
-            let metrics = Arc::clone(&metrics);
-            let limiters = Arc::clone(&limiters);
-            let clock = clock.clone();
-            let recorder = recorder.clone();
-            std::thread::Builder::new()
-                .name("dp-gateway-dispatch".into())
-                .spawn(move || {
-                    dispatcher_loop(
-                        &ring,
-                        &engine,
-                        &metrics,
-                        &limiters,
-                        max_inflight,
-                        drain_deadline,
-                        &clock,
-                        recorder.as_ref(),
-                    )
-                })
-                .expect("spawn gateway dispatcher") // panic-ok: thread spawn fails only on OS resource exhaustion at construction
-        };
-        Gateway {
-            engine,
-            ring,
-            metrics,
-            limiters,
-            policy: self.policy,
-            max_inflight,
+        let intake = Arc::new(Intake {
+            ring: SubmissionRing::new(self.queue_capacity),
+            metrics: Arc::new(GatewayMetrics::default()),
+            limiters: self
+                .rate_limits
+                .into_iter()
+                .map(|(name, limit)| (name, TokenBucket::new(limit)))
+                .collect(),
             clock,
             recorder,
+            drain_deadline: self.drain_deadline,
+            drain_logged: AtomicBool::new(false),
+        });
+        let engine = ServeEngine::new(
+            EngineConfig {
+                workers: self.workers,
+                chunk_samples: self.chunk_samples,
+                watchdog: self.watchdog,
+                panic_budget: self.panic_budget,
+            },
+            Arc::clone(&intake) as Arc<dyn JobSource>,
+        );
+        Gateway {
+            engine,
+            intake,
+            policy: self.policy,
             next_req_id: AtomicU64::new(1),
-            dispatcher: Mutex::new(Some(dispatcher)),
         }
     }
 }
 
-/// Why the dispatcher discarded a popped entry instead of dispatching it.
-/// `now` comes off the gateway's clock seam so expiry is virtualizable.
-fn dead_verdict(entry: &Pending, now: Instant) -> Option<GatewayError> {
-    if entry.is_cancelled() {
-        Some(GatewayError::Cancelled)
-    } else if entry.deadline().is_some_and(|d| now >= d) {
-        Some(GatewayError::DeadlineExceeded)
-    } else {
-        None
-    }
-}
-
-/// Resolves a dead entry with its verdict: refunds the rate-limit tokens
-/// admission charged, bumps the matching counters, resolves the handle.
-fn discard(
-    entry: Pending,
-    reason: GatewayError,
-    metrics: &GatewayMetrics,
-    limiters: &HashMap<String, TokenBucket>,
-) {
-    if let Some(bucket) = limiters.get(entry.model_name()) {
-        bucket.refund(entry.samples() as f64);
-    }
-    match reason {
-        GatewayError::DeadlineExceeded => bump(&metrics.deadline_exceeded),
-        GatewayError::Cancelled => bump(&metrics.cancelled),
-        GatewayError::Closed => {
-            // Only the bounded-drain abort path discards with `Closed`.
-            bump(&metrics.drain_aborted);
-            bump(&metrics.dropped_closed);
-        }
-        _ => {}
-    }
-    entry.resolve_undispatched(reason);
-}
-
-/// The dispatcher: drains the ring in admission order, lazily expiring
-/// dead entries (deadline passed, cancelled) and throttling on the
-/// engine's queue depth so the unbounded injector never grows past
-/// `max_inflight` chunk jobs. During shutdown the backlog drain is
-/// bounded by `drain_deadline`; past it, remaining entries resolve
-/// `Closed` instead of feeding a saturated engine.
-#[allow(clippy::too_many_arguments)] // one call site, in the builder
-fn dispatcher_loop(
-    ring: &SubmissionRing<Pending>,
-    engine: &Arc<ServeEngine>,
-    metrics: &Arc<GatewayMetrics>,
-    limiters: &HashMap<String, TokenBucket>,
-    max_inflight: usize,
-    drain_deadline: Duration,
-    clock: &Clock,
-    recorder: Option<&Arc<Recorder>>,
-) {
-    let mut drain_logged = false;
-    while let Some(entry) = ring.pop_for_dispatch() {
-        // Fault seam: a planned sleep here models dispatcher latency and
-        // deterministically widens the expiry-vs-dispatch race window.
-        faults::fire(faults::points::DELAY_DISPATCH, Some(entry.model_name()));
-
-        // Dispatch-side queue-depth sample for `/statusz`: together with
-        // the admission-side samples this brackets the depth every request
-        // saw around its ring transit.
-        if let Some(rec) = recorder {
-            rec.note_queue_depth(ring.len());
-        }
-
-        // Headroom accounting: this request becomes `chunks` atomic pool
-        // jobs, so wait until they fit under the cap — not merely until
-        // the current depth is under it. A single request larger than the
-        // whole cap waits for a fully drained engine and is dispatched
-        // alone, so the engine's instantaneous bound is
-        // max(max_inflight, ceil(largest_request / chunk_samples)).
-        // The wait runs in slices so entry deadlines, cancellation and
-        // the shutdown drain deadline stay live while the engine is
-        // saturated.
-        let chunks = entry.samples().div_ceil(engine.chunk_samples()).max(1);
-        let headroom = max_inflight.saturating_sub(chunks);
-        let verdict = loop {
-            if let Some(v) = dead_verdict(&entry, clock.now()) {
-                break Some(v);
-            }
-            if let Some(closed_at) = ring.closing_since() {
-                if closed_at.elapsed() >= drain_deadline {
-                    break Some(GatewayError::Closed);
-                }
-            }
-            if engine
-                .wait_depth_below_for(headroom + 1, DISPATCH_POLL)
-                .is_some()
-            {
-                // Final screen right before dispatch, narrowing the
-                // expiry-vs-dispatch race to the engine handoff itself.
-                break dead_verdict(&entry, clock.now());
-            }
-        };
-        match verdict {
-            Some(reason) => {
-                if matches!(reason, GatewayError::Closed) && !drain_logged {
-                    drain_logged = true;
-                    eprintln!(
-                        "dp-gateway: shutdown drain exceeded its {drain_deadline:?} deadline; \
-                         resolving remaining queued requests as Closed"
-                    );
-                }
-                discard(entry, reason, metrics, limiters);
-            }
-            None => entry.dispatch(engine, metrics, clock),
-        }
-        ring.dispatch_done();
-    }
-}
-
-/// The async admission front end: a bounded ring, a dispatcher and a
-/// [`ServeEngine`] behind it. See the [module docs](self) for the
-/// pipeline and [`GatewayBuilder`] for the knobs.
+/// The async admission front end: a bounded ring and the
+/// [`ServeEngine`] whose workers pull from it. See the
+/// [module docs](self) for the pipeline and [`GatewayBuilder`] for the
+/// knobs.
 ///
 /// Dropping (or [`Gateway::shutdown`]) is graceful: admission closes, the
-/// dispatcher drains every admitted request into the engine (bounded by
-/// the builder's [drain deadline](GatewayBuilder::drain_deadline)), the
-/// engine drains its queue, and all threads join.
+/// workers drain every admitted request (bounded by the builder's
+/// [drain deadline](GatewayBuilder::drain_deadline)), and all threads
+/// join.
 pub struct Gateway {
-    engine: Arc<ServeEngine>,
-    ring: Arc<SubmissionRing<Pending>>,
-    metrics: Arc<GatewayMetrics>,
-    limiters: Arc<HashMap<String, TokenBucket>>,
+    engine: ServeEngine,
+    intake: Arc<Intake>,
     policy: OverloadPolicy,
-    max_inflight: usize,
-    /// The clock seam every gateway timestamp reads through.
-    clock: Clock,
-    /// Flight recorder (`None` when built with [`TraceConfig::off`]).
-    recorder: Option<Arc<Recorder>>,
     /// Request-id generator for submissions that don't carry a wire id
     /// ([`SubmitOptions::trace_id`] `None`): ids get the high bit set so
     /// gateway-assigned and wire id spaces stay visually apart.
     next_req_id: AtomicU64,
-    /// Taken (and joined) by whichever of [`Gateway::close`] / drop runs
-    /// first; a `Mutex` so the close seam works through `&self` (network
-    /// front ends hold the gateway in an `Arc`).
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gateway")
             .field("policy", &self.policy)
-            .field("queue_capacity", &self.ring.capacity())
-            .field("queue_depth", &self.ring.len())
-            .field("max_inflight_chunks", &self.max_inflight)
-            .field("degraded", &self.engine.is_degraded())
+            .field("queue_capacity", &self.queue_capacity())
+            .field("queue_depth", &self.queue_depth())
+            .field("degraded", &self.is_degraded())
             .finish_non_exhaustive()
     }
 }
@@ -908,28 +776,28 @@ impl Gateway {
         let removed = self.engine.registry().remove(key).is_some();
         // Prune unconditionally: a row can exist for a key that was
         // already unregistered through the raw registry seam.
-        self.metrics.prune_model(key);
+        self.intake.metrics.prune_model(key);
         removed
     }
 
     /// The flight recorder behind `/tracez`, if tracing is enabled.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
+        self.intake.recorder.as_ref()
     }
 
     /// The gateway's clock seam (shared with the recorder).
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.intake.clock
     }
 
-    /// The backing serving engine (pool stats, queue depth).
+    /// The serving engine behind the ring (workers, pool stats).
     pub fn engine(&self) -> &ServeEngine {
         &self.engine
     }
 
     /// Live counters; see also [`Gateway::snapshot`].
     pub fn metrics(&self) -> &GatewayMetrics {
-        &self.metrics
+        &self.intake.metrics
     }
 
     /// A consistent-enough copy of every counter plus the current ring
@@ -938,15 +806,12 @@ impl Gateway {
     /// ready for [`MetricsSnapshot::to_json`] /
     /// [`MetricsSnapshot::to_prometheus`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot(self.ring.len());
+        let mut snap = self.intake.metrics.snapshot(self.queue_depth());
         let stats = self.engine.stats();
         snap.worker_stalled = stats.stalled;
         snap.workers_respawned = stats.respawned;
         snap.degraded = stats.degraded;
-        snap.queue_depth_reservoir = self
-            .recorder
-            .as_ref()
-            .and_then(|rec| rec.queue_depth_summary());
+        snap.queue_depth_reservoir = self.recorder().and_then(|rec| rec.queue_depth_summary());
         snap
     }
 
@@ -968,26 +833,27 @@ impl Gateway {
         self.policy
     }
 
-    /// Requests currently waiting in the submission ring.
+    /// Requests currently waiting in the submission ring (unstarted).
     pub fn queue_depth(&self) -> usize {
-        self.ring.len()
+        self.intake.ring.len()
     }
 
     /// The ring's request capacity.
     pub fn queue_capacity(&self) -> usize {
-        self.ring.capacity()
+        self.intake.ring.capacity()
     }
 
-    /// Stalls the dispatcher (admission keeps running, the ring fills).
-    /// A control seam for tests and benches that need a deterministic
-    /// backlog; pair with [`Gateway::resume_dispatch`].
+    /// Stops the workers popping the ring (admission keeps running, the
+    /// ring fills; a request already started keeps running). A control
+    /// seam for tests and benches that need a deterministic backlog; pair
+    /// with [`Gateway::resume_dispatch`].
     pub fn pause_dispatch(&self) {
-        self.ring.pause();
+        self.intake.ring.pause();
     }
 
-    /// Resumes dispatch after [`Gateway::pause_dispatch`].
+    /// Resumes popping after [`Gateway::pause_dispatch`].
     pub fn resume_dispatch(&self) {
-        self.ring.resume();
+        self.intake.ring.resume();
     }
 
     /// Non-blocking submission for raw EMAC output activations,
@@ -997,50 +863,35 @@ impl Gateway {
     /// `Block`/`ShedNewest` yields [`Admission::QueueFull`], under
     /// `ShedOldest` the oldest queued request is evicted instead.
     pub fn try_submit_forward(&self, key: &ModelKey, xs: Vec<Vec<f32>>) -> Admission<Vec<u32>> {
-        self.admit(
-            key,
-            xs,
-            SubmitOptions::default(),
-            true,
-            Pending::Forward,
-            false,
-        )
+        self.admit(key, xs, SubmitOptions::default(), false)
     }
 
-    /// [`Gateway::try_submit_forward`] with per-request [`SubmitOptions`]
-    /// (deadline, priority hint).
+    /// [`Gateway::try_submit_forward`] with per-request [`SubmitOptions`].
     pub fn try_submit_forward_opts(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<Vec<u32>> {
-        self.admit(key, xs, opts, true, Pending::Forward, false)
+        self.admit(key, xs, opts, false)
     }
 
     /// Non-blocking submission for class predictions (all formats,
     /// including the `F32` baseline). See [`Gateway::try_submit_forward`]
     /// for the verdict semantics.
     pub fn try_submit_classify(&self, key: &ModelKey, xs: Vec<Vec<f32>>) -> Admission<usize> {
-        self.admit(
-            key,
-            xs,
-            SubmitOptions::default(),
-            false,
-            Pending::Classify,
-            false,
-        )
+        self.admit(key, xs, SubmitOptions::default(), false)
     }
 
     /// [`Gateway::try_submit_classify`] with per-request
-    /// [`SubmitOptions`] (deadline, priority hint).
+    /// [`SubmitOptions`].
     pub fn try_submit_classify_opts(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<usize> {
-        self.admit(key, xs, opts, false, Pending::Classify, false)
+        self.admit(key, xs, opts, false)
     }
 
     /// Policy-applying submission for raw activations: under
@@ -1048,14 +899,7 @@ impl Gateway {
     /// space frees; other policies behave like
     /// [`Gateway::try_submit_forward`].
     pub fn submit_forward(&self, key: &ModelKey, xs: Vec<Vec<f32>>) -> Admission<Vec<u32>> {
-        self.admit(
-            key,
-            xs,
-            SubmitOptions::default(),
-            true,
-            Pending::Forward,
-            true,
-        )
+        self.admit(key, xs, SubmitOptions::default(), true)
     }
 
     /// [`Gateway::submit_forward`] with per-request [`SubmitOptions`].
@@ -1065,20 +909,13 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<Vec<u32>> {
-        self.admit(key, xs, opts, true, Pending::Forward, true)
+        self.admit(key, xs, opts, true)
     }
 
     /// Policy-applying submission for class predictions; see
     /// [`Gateway::submit_forward`].
     pub fn submit_classify(&self, key: &ModelKey, xs: Vec<Vec<f32>>) -> Admission<usize> {
-        self.admit(
-            key,
-            xs,
-            SubmitOptions::default(),
-            false,
-            Pending::Classify,
-            true,
-        )
+        self.admit(key, xs, SubmitOptions::default(), true)
     }
 
     /// [`Gateway::submit_classify`] with per-request [`SubmitOptions`].
@@ -1088,60 +925,38 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<usize> {
-        self.admit(key, xs, opts, false, Pending::Classify, true)
+        self.admit(key, xs, opts, true)
     }
 
-    /// Blocks until the ring is drained **and** the engine is idle: every
-    /// admitted-and-not-shed request has completed.
+    /// Blocks until every admitted-and-not-shed request has resolved: the
+    /// ring is empty and every started chunk has settled.
     pub fn wait_idle(&self) {
-        self.ring.wait_empty();
-        self.engine.wait_idle();
+        self.intake.ring.wait_idle();
     }
 
-    /// Graceful shutdown: closes admission, drains the ring through the
-    /// dispatcher (bounded by the drain deadline), drains the engine,
-    /// joins every thread. Equivalent to dropping the gateway, but
-    /// explicit.
+    /// Graceful shutdown: closes admission, lets the workers drain the
+    /// ring (bounded by the drain deadline), joins every thread.
+    /// Equivalent to dropping the gateway, but explicit.
     pub fn shutdown(self) {
         drop(self);
     }
 
     /// Closes the gateway through a shared reference and **settles** it:
     /// admission closes (subsequent submissions report
-    /// [`Admission::Closed`]), the dispatcher drains the ring backlog
-    /// (bounded by the builder's drain deadline) and is joined, and the
-    /// engine finishes every dispatched chunk.
+    /// [`Admission::Closed`]), the workers drain the ring backlog
+    /// (bounded by the builder's drain deadline), and every started chunk
+    /// settles.
     ///
     /// On return, [`Gateway::snapshot`] reports **final** counters: every
     /// submitted request has resolved to exactly one outcome, so the
-    /// lifecycle conservation laws hold exactly — previously a snapshot
-    /// taken after shutdown began could race the dispatcher's drain (or
-    /// in-flight chunk completions) and observe admitted requests that had
-    /// not yet been counted anywhere. Network front ends rely on this for
-    /// their post-shutdown metrics scrape.
+    /// lifecycle conservation laws hold exactly. Network front ends rely
+    /// on this for their post-shutdown metrics scrape.
     ///
-    /// Idempotent; later calls (and the eventual drop) are no-ops apart
-    /// from joining the worker threads. Already-issued handles still
-    /// resolve.
+    /// Idempotent; the eventual drop joins the worker threads.
+    /// Already-issued handles still resolve.
     pub fn close(&self) {
-        self.ring.close();
-        let dispatcher = self
-            .dispatcher
-            .lock()
-            .expect("dispatcher handle lock") // panic-ok: only poisoned if close/drop itself panicked mid-take
-            .take();
-        if let Some(h) = dispatcher {
-            // panic-ok: dispatcher_loop resolves every entry and catches
-            // nothing — a panic there is a gateway bug worth surfacing.
-            h.join().expect("gateway dispatcher never panics");
-        }
-        // The dispatcher has handed every surviving request to the engine;
-        // wait for those chunks so completion counters are final too.
-        self.engine.wait_idle();
-        // Close the engine's own admission as well, mirroring the drop
-        // order (ring → engine): nothing can sneak work in via
-        // `self.engine()` after the gateway reports itself closed.
-        self.engine.close();
+        self.intake.ring.close();
+        self.intake.ring.wait_idle();
     }
 
     /// Opens a flight-recorder context for an admitted request: wire ids
@@ -1161,16 +976,15 @@ impl Gateway {
         rec.begin(req_id, &key.to_string(), samples, opts.received)
     }
 
-    fn admit<T: Clone + Send + 'static>(
+    fn admit<T: Output>(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
-        needs_emac: bool,
-        wrap: fn(Request<T>) -> Pending,
         may_block: bool,
     ) -> Admission<T> {
-        let metrics = &self.metrics;
+        let intake = &*self.intake;
+        let metrics = &intake.metrics;
         bump(&metrics.submitted);
         if self.engine.is_degraded() {
             // Degraded read-only-metrics mode: reject before touching the
@@ -1182,7 +996,7 @@ impl Gateway {
             bump(&metrics.model_unknown);
             return Admission::ModelUnknown(key.clone());
         };
-        if needs_emac && matches!(model.format, NumericFormat::F32) {
+        if T::NEEDS_EMAC && matches!(model.format, NumericFormat::F32) {
             bump(&metrics.unsupported);
             return Admission::Unsupported(format!(
                 "{key}: raw EMAC activations are undefined for the f32 baseline"
@@ -1200,7 +1014,7 @@ impl Gateway {
             // Even the inline path opens and closes a trace context, so
             // "every admitted request emits exactly one terminal event"
             // holds without carve-outs.
-            if let Some(rec) = &self.recorder {
+            if let Some(rec) = &intake.recorder {
                 let t = self.begin_trace(rec, key, 0, &opts);
                 t.resolve(TerminalKind::Completed);
             }
@@ -1211,7 +1025,7 @@ impl Gateway {
         // verdict is the hot path under over-limit traffic and should not
         // pay the metrics-map lookup (a String render + RwLock read).
         let cost = xs.len() as f64;
-        let bucket = self.limiters.get(key.name());
+        let bucket = intake.limiters.get(key.name());
         if let Some(bucket) = bucket {
             if !bucket.try_acquire(cost) {
                 bump(&metrics.rate_limited);
@@ -1220,66 +1034,68 @@ impl Gateway {
         }
         let model_metrics = metrics.model(key);
         let (handle, cell) = GatewayHandle::pending();
-        let cancel = cell.cancel_token();
         // The trace context opens only once every pre-admission screen has
         // passed: a rejected-before-admission request (unknown model,
         // rate-limited, degraded, unsupported) never begins a trace, so
         // recorder `begun` equals terminal events at quiescence.
-        let trace = self
+        let trace = intake
             .recorder
             .as_ref()
             .map(|rec| self.begin_trace(rec, key, xs.len() as u64, &opts));
-        let entry = wrap(Request {
+        let mut lane = DefaultHasher::new();
+        key.name().hash(&mut lane);
+        let entry: Pending = Arc::new(Request {
             model_name: key.name().to_string(),
+            lane: lane.finish(),
             model,
             xs,
+            chunk_samples: self.engine.chunk_samples(),
             cell,
+            metrics: Arc::clone(metrics),
             model_metrics: Arc::clone(&model_metrics),
-            enqueued: self.clock.now(),
+            clock: intake.clock.clone(),
+            enqueued: intake.clock.now(),
+            started: OnceLock::new(),
             deadline: opts.deadline,
-            priority_hint: opts.priority_hint,
-            cancel,
             trace: trace.clone(),
         });
         let outcome = if may_block && matches!(self.policy, OverloadPolicy::Block) {
-            match self.ring.push_blocking(entry) {
+            match intake.ring.push_blocking(entry) {
                 Ok(()) => TryPush::Pushed,
                 Err(entry) => TryPush::Closed(entry),
             }
         } else {
             let evict = matches!(self.policy, OverloadPolicy::ShedOldest);
-            self.ring.try_push(entry, evict)
+            intake.ring.try_push(entry, evict)
+        };
+        let admitted = |evicted: bool| {
+            bump(&metrics.admitted);
+            bump(&model_metrics.admitted);
+            if evicted {
+                bump(&metrics.shed_evicted);
+            }
+            let depth = intake.ring.len();
+            metrics.note_depth(depth as u64);
+            if let Some(t) = &trace {
+                t.enqueued();
+            }
+            if let Some(rec) = &intake.recorder {
+                rec.note_queue_depth(depth);
+            }
         };
         match outcome {
             TryPush::Pushed => {
-                bump(&metrics.admitted);
-                bump(&model_metrics.admitted);
-                metrics.note_depth(self.ring.len() as u64);
-                if let Some(t) = &trace {
-                    t.enqueued();
-                }
-                if let Some(rec) = &self.recorder {
-                    rec.note_queue_depth(self.ring.len());
-                }
+                admitted(false);
                 Admission::Admitted(handle)
             }
             TryPush::PushedEvicting(evicted) => {
-                bump(&metrics.admitted);
-                bump(&model_metrics.admitted);
-                bump(&metrics.shed_evicted);
-                metrics.note_depth(self.ring.len() as u64);
-                if let Some(t) = &trace {
-                    t.enqueued();
-                }
-                if let Some(rec) = &self.recorder {
-                    rec.note_queue_depth(self.ring.len());
-                }
+                admitted(true);
                 // The evictee served nothing either: refund the tokens
                 // *it* was charged (its model may differ from this one's).
-                if let Some(b) = self.limiters.get(evicted.model_name()) {
+                if let Some(b) = intake.limiters.get(evicted.model_name()) {
                     b.refund(evicted.samples() as f64);
                 }
-                evicted.resolve_undispatched(GatewayError::Shed);
+                evicted.resolve_unstarted(GatewayError::Shed);
                 Admission::Admitted(handle)
             }
             TryPush::Full(entry) => {
@@ -1292,7 +1108,7 @@ impl Gateway {
                 }
                 // Resolves the cell (bumping the model's shed counter), so
                 // even a stashed clone of the handle cannot hang.
-                entry.resolve_undispatched(GatewayError::Shed);
+                entry.resolve_unstarted(GatewayError::Shed);
                 Admission::QueueFull
             }
             TryPush::Closed(entry) => {
@@ -1300,7 +1116,7 @@ impl Gateway {
                 if let Some(bucket) = bucket {
                     bucket.refund(cost);
                 }
-                entry.resolve_undispatched(GatewayError::Closed);
+                entry.resolve_unstarted(GatewayError::Closed);
                 Admission::Closed
             }
         }
@@ -1309,17 +1125,8 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        self.ring.close();
-        let dispatcher = self
-            .dispatcher
-            .lock()
-            .expect("dispatcher handle lock") // panic-ok: see `Gateway::close`
-            .take();
-        if let Some(h) = dispatcher {
-            h.join().expect("gateway dispatcher never panics"); // panic-ok: see `Gateway::close`
-        }
-        // `self.engine` (the last Arc once the dispatcher is gone) drops
-        // after this body: the pool drains every dispatched job and joins
-        // its workers — handles held by callers still complete.
+        self.close();
+        // `self.engine` drops after this body: its workers find the ring
+        // closed and drained, exit, and are joined.
     }
 }

@@ -1,26 +1,26 @@
-//! Gateway completion handles: results (or a shed verdict) come back out
-//! of the admission pipeline through these.
+//! Gateway completion handles: results (or a typed verdict) come back
+//! out of the admission pipeline through these.
 //!
-//! A [`GatewayHandle`] is handed out at admission, **before** the request
-//! is dispatched to the serving engine — the request may still be sitting
-//! in the submission ring, may already be running on the pool, or may have
-//! been shed by an overload policy. The handle hides that lifecycle:
+//! A [`GatewayHandle`] is handed out at admission, **before** any worker
+//! has started the request — it may still be sitting in the submission
+//! ring, may already be running on the pool, or may have been shed by an
+//! overload policy. The handle hides that lifecycle:
 //! [`poll`](GatewayHandle::poll) never blocks, [`wait`](GatewayHandle::wait)
 //! blocks until the request resolves,
 //! [`wait_timeout`](GatewayHandle::wait_timeout) bounds the block, and a
 //! shed/expired/cancelled request resolves promptly to its typed
 //! [`GatewayError`] instead of hanging forever.
 //!
-//! Unlike the single-consumer `dp_serve` handles, a gateway handle caches
-//! its resolved result: `wait` and `poll` can be called repeatedly (the
-//! clone of the first resolution is returned), which makes double-`wait`
-//! a defined, tested behavior rather than a panic. The first resolution
-//! **wins**: once cached it is never overwritten, so a request that was
-//! already expired or evicted keeps reporting the same verdict however
-//! late the engine-side result limps in.
+//! The handle's cell is the only completion state a request has: the
+//! workers settle chunk results into it directly and it assembles them in
+//! sample order. It caches its resolution, so `wait` and `poll` can be
+//! called repeatedly, from any number of threads (each gets a clone).
+//! The first resolution **wins**: once cached it is never overwritten, so
+//! a request that was already expired, evicted or cancelled keeps
+//! reporting the same verdict however late a chunk result limps in.
 
 use crate::check::{self, check_yield, MutexGuard};
-use dp_serve::{BatchHandle, CancelToken, JobError};
+use dp_serve::{CancelToken, JobError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,22 +28,22 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatewayError {
     /// An overload policy shed this request from the submission ring
-    /// before it reached the serving engine (e.g. `ShedOldest` evicted it
-    /// to make room for newer traffic).
+    /// before any worker started it (e.g. `ShedOldest` evicted it to make
+    /// room for newer traffic).
     Shed,
-    /// The gateway closed before this request could be dispatched.
+    /// The gateway closed before any worker could start this request.
     Closed,
     /// The request's [`SubmitOptions`](crate::gateway::SubmitOptions)
-    /// deadline passed before the dispatcher could hand it to the engine;
-    /// its rate-limit tokens were refunded.
+    /// deadline passed before a worker started it; its rate-limit tokens
+    /// were refunded.
     DeadlineExceeded,
     /// The request was cancelled via [`GatewayHandle::cancel`] (while
-    /// queued, or mid-flight at a chunk/sample boundary).
+    /// queued, or mid-flight at a chunk boundary).
     Cancelled,
     /// The serving engine is degraded (worker panic budget tripped) and
     /// dropped this already-admitted request before evaluation.
     Degraded,
-    /// The request was dispatched but its serving job failed.
+    /// The request started but one of its chunks failed.
     Job(JobError),
 }
 
@@ -69,8 +69,8 @@ impl std::error::Error for GatewayError {}
 impl From<JobError> for GatewayError {
     fn from(e: JobError) -> Self {
         match e {
-            // A job cancelled through the request's token surfaces as the
-            // gateway-level cancel verdict, not a generic job failure.
+            // A chunk cancelled through the request's token surfaces as
+            // the gateway-level cancel verdict, not a generic job failure.
             JobError::Cancelled => GatewayError::Cancelled,
             other => GatewayError::Job(other),
         }
@@ -80,87 +80,130 @@ impl From<JobError> for GatewayError {
 /// Where an admitted request currently is in the gateway pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStage {
-    /// Still waiting in the submission ring (or being dispatched).
+    /// Still waiting in the submission ring.
     Queued,
-    /// Handed to the serving engine; chunk jobs are queued or running.
+    /// A worker took it out of the ring; its chunks are running.
     Dispatched,
     /// Resolved: a value, a job failure, or a shed/closed verdict.
     Done,
 }
 
-enum HandleState<T> {
-    /// In the ring, or a waiter temporarily holds the inner batch handle.
-    Queued,
-    /// Dispatched to the engine; the inner handle delivers the value.
-    Dispatched(BatchHandle<T>),
-    /// Final: the cached resolution every `wait`/`poll` clone returns.
-    Resolved(Result<Vec<T>, GatewayError>),
+/// How a request's chunks ended, reported once the last one settles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// Every chunk produced its result.
+    Completed,
+    /// Some chunk failed (panic or stall).
+    Failed(JobError),
+    /// Some chunk was skipped because the request was cancelled.
+    Cancelled,
+}
+
+/// A request's final verdict: every sample's answer, or why there is
+/// none.
+type Resolution<T> = Result<Vec<T>, GatewayError>;
+
+struct CellState<T> {
+    /// Set once a worker has taken the request out of the ring.
+    dispatched: bool,
+    /// Per-chunk results, filled in any order, read out in order.
+    parts: Vec<Option<Vec<T>>>,
+    /// Chunks not yet settled.
+    remaining: usize,
+    /// The first chunk failure, if any.
+    failed: Option<JobError>,
+    cancelled: bool,
+    /// The final, cached resolution every `wait`/`poll` clone returns.
+    resolved: Option<Resolution<T>>,
 }
 
 pub(crate) struct HandleCell<T> {
-    state: check::Mutex<HandleState<T>>,
+    state: check::Mutex<CellState<T>>,
     ready: check::Condvar,
-    /// The request's cancellation token, shared with its chunk jobs.
+    /// The request's cancellation token, checked before each chunk.
     cancel: CancelToken,
 }
 
 impl<T> HandleCell<T> {
     /// The handle-state lock.
-    fn st(&self) -> MutexGuard<'_, HandleState<T>> {
+    fn st(&self) -> MutexGuard<'_, CellState<T>> {
         // panic-ok: the handle lock is only poisoned if a holder panicked
-        // mid-section; the sections here are enum swaps and clones of
+        // mid-section; the sections here are field updates and clones of
         // caller data — a poisoned lock means the resolution state is
         // already torn and no verdict would be trustworthy.
         self.state.lock().expect("gateway handle lock")
     }
 
-    /// Resolves the request (shed, closed, expired, cancelled, or an
-    /// inline empty result) and wakes every waiter. **First resolution
+    /// Resolves the request (shed, closed, expired, a chunk verdict, or
+    /// an inline empty result) and wakes every waiter. **First resolution
     /// wins**: an already-resolved cell is left untouched, so a late
     /// verdict can never clobber the one callers may have seen.
-    pub(crate) fn resolve(&self, result: Result<Vec<T>, GatewayError>) {
+    pub(crate) fn resolve(&self, result: Resolution<T>) {
         check_yield!("handle.resolve");
         let mut st = self.st();
-        if matches!(*st, HandleState::Resolved(_)) {
+        if st.resolved.is_some() {
             return;
         }
-        *st = HandleState::Resolved(result);
+        st.resolved = Some(result);
         self.ready.notify_all();
     }
 
-    /// Transitions `Queued` → `Dispatched`, attaching the engine handle
-    /// that will deliver the value.
-    pub(crate) fn dispatched(&self, inner: BatchHandle<T>) {
+    /// Marks the request taken out of the ring, to be settled in
+    /// `chunks` chunks.
+    pub(crate) fn dispatched(&self, chunks: usize) {
         check_yield!("handle.dispatched");
         let mut st = self.st();
-        if matches!(*st, HandleState::Queued) {
-            *st = HandleState::Dispatched(inner);
-            self.ready.notify_all();
-        }
+        st.dispatched = true;
+        st.parts = (0..chunks).map(|_| None).collect();
+        st.remaining = chunks;
     }
 
-    /// The request's cancel token (cloned into chunk jobs at dispatch).
-    pub(crate) fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-}
-
-impl<T: Clone> HandleCell<T> {
-    /// Caches `result` unless a resolution already exists; returns the
-    /// winning resolution either way. Used by waiters bringing an engine-
-    /// side result home, so a concurrent `cancel`'s verdict is honored.
-    fn cache_resolution(
+    /// Settles chunk `index`. A delivered result is kept for assembly; an
+    /// undelivered one (its completion was dropped) never reaches the
+    /// caller. Once the last chunk settles, returns how the request ended
+    /// plus the assembled resolution — `None` when a completion was
+    /// dropped, which leaves the handle pending until it is cancelled.
+    /// The caller records the outcome and then [`HandleCell::resolve`]s.
+    pub(crate) fn settle_chunk(
         &self,
-        result: Result<Vec<T>, GatewayError>,
-    ) -> Result<Vec<T>, GatewayError> {
-        check_yield!("handle.cache");
+        index: usize,
+        result: Result<Vec<T>, JobError>,
+        delivered: bool,
+    ) -> Option<(Settled, Option<Resolution<T>>)> {
+        check_yield!("handle.complete_chunk");
         let mut st = self.st();
-        if let HandleState::Resolved(existing) = &*st {
-            return existing.clone();
+        match result {
+            Ok(part) if delivered => st.parts[index] = Some(part),
+            Ok(_) => {}
+            Err(JobError::Cancelled) => st.cancelled = true,
+            Err(err) => {
+                st.failed.get_or_insert(err);
+            }
         }
-        *st = HandleState::Resolved(result.clone());
-        self.ready.notify_all();
-        result
+        st.remaining -= 1;
+        if st.remaining > 0 {
+            return None;
+        }
+        Some(if let Some(err) = st.failed {
+            (Settled::Failed(err), Some(Err(GatewayError::Job(err))))
+        } else if st.cancelled {
+            (Settled::Cancelled, Some(Err(GatewayError::Cancelled)))
+        } else {
+            let mut out = Vec::new();
+            for part in std::mem::take(&mut st.parts) {
+                match part {
+                    Some(part) => out.extend(part),
+                    // A dropped completion: nothing to deliver.
+                    None => return Some((Settled::Completed, None)),
+                }
+            }
+            (Settled::Completed, Some(Ok(out)))
+        })
+    }
+
+    /// The request's cancel token (checked by its chunk jobs).
+    pub(crate) fn cancel_token(&self) -> &CancelToken {
+        &self.cancel
     }
 }
 
@@ -185,7 +228,17 @@ impl<T> GatewayHandle<T> {
     /// it.
     pub(crate) fn pending() -> (Self, Arc<HandleCell<T>>) {
         let cell = Arc::new(HandleCell {
-            state: check::mutex("gateway.handle", HandleState::Queued),
+            state: check::mutex(
+                "gateway.handle",
+                CellState {
+                    dispatched: false,
+                    parts: Vec::new(),
+                    remaining: 0,
+                    failed: None,
+                    cancelled: false,
+                    resolved: None,
+                },
+            ),
             ready: check::condvar(),
             cancel: CancelToken::new(),
         });
@@ -200,54 +253,41 @@ impl<T> GatewayHandle<T> {
     /// Where the request currently is. `Done` covers success, job failure
     /// and shed/closed verdicts alike.
     pub fn stage(&self) -> RequestStage {
-        match &*self.cell.st() {
-            HandleState::Queued => RequestStage::Queued,
-            HandleState::Dispatched(_) => RequestStage::Dispatched,
-            HandleState::Resolved(_) => RequestStage::Done,
+        let st = self.cell.st();
+        if st.resolved.is_some() {
+            RequestStage::Done
+        } else if st.dispatched {
+            RequestStage::Dispatched
+        } else {
+            RequestStage::Queued
         }
     }
 
     /// Whether a result (or shed/failure verdict) is available without
     /// blocking.
     pub fn is_done(&self) -> bool {
-        match &*self.cell.st() {
-            HandleState::Resolved(_) => true,
-            HandleState::Dispatched(h) => h.is_done(),
-            HandleState::Queued => false,
-        }
+        self.cell.st().resolved.is_some()
     }
 
     /// Requests cancellation of this request. Idempotent.
     ///
-    /// * Still queued in the ring → the handle resolves **immediately** to
-    ///   [`GatewayError::Cancelled`]; the dispatcher later discards the
-    ///   dead ring entry and refunds its rate-limit tokens.
-    /// * Already dispatched → if the engine result is already available it
-    ///   wins (cancellation is cooperative, not retroactive); otherwise
-    ///   the handle resolves to [`GatewayError::Cancelled`] right away and
-    ///   the token tells in-flight chunks to stop at the next chunk/sample
-    ///   boundary. This also makes `cancel` the recovery path for a
-    ///   request whose completion was lost (e.g. under the
-    ///   `drop_completion` fault): the handle can always be resolved.
-    /// * Already resolved → no-op; the existing verdict sticks.
+    /// * Not yet resolved → the handle resolves **immediately** to
+    ///   [`GatewayError::Cancelled`]. A queued request is discarded when
+    ///   a worker pops it (its rate-limit tokens are refunded); a running
+    ///   one skips every chunk that has not started yet. This also makes
+    ///   `cancel` the recovery path for a request whose completion was
+    ///   lost (e.g. under the `drop_completion` fault): the handle can
+    ///   always be resolved.
+    /// * Already resolved → no-op; the existing verdict sticks
+    ///   (cancellation is cooperative, not retroactive).
     pub fn cancel(&self) {
         self.cell.cancel.cancel();
         check_yield!("handle.cancel");
         let mut st = self.cell.st();
-        match &*st {
-            HandleState::Resolved(_) => return,
-            HandleState::Queued => {
-                *st = HandleState::Resolved(Err(GatewayError::Cancelled));
-            }
-            HandleState::Dispatched(h) => {
-                let r = match h.poll() {
-                    Some(done) => done.map_err(GatewayError::from),
-                    None => Err(GatewayError::Cancelled),
-                };
-                *st = HandleState::Resolved(r);
-            }
+        if st.resolved.is_none() {
+            st.resolved = Some(Err(GatewayError::Cancelled));
+            self.cell.ready.notify_all();
         }
-        self.cell.ready.notify_all();
     }
 }
 
@@ -255,24 +295,9 @@ impl<T: Clone> GatewayHandle<T> {
     /// Non-blocking: the resolved result if available, `None` while the
     /// request is queued or still running. Safe to call repeatedly —
     /// once resolved, every call returns a clone of the same result.
-    /// A request that was shed, expired or evicted resolves promptly: its
-    /// cached verdict comes back on the very next `poll`, never a spin.
     pub fn poll(&self) -> Option<Result<Vec<T>, GatewayError>> {
         check_yield!("handle.poll");
-        let mut st = self.cell.st();
-        match &*st {
-            HandleState::Resolved(r) => Some(r.clone()),
-            HandleState::Queued => None,
-            HandleState::Dispatched(h) => match h.poll() {
-                Some(r) => {
-                    let r = r.map_err(GatewayError::from);
-                    *st = HandleState::Resolved(r.clone());
-                    self.cell.ready.notify_all();
-                    Some(r)
-                }
-                None => None,
-            },
-        }
+        self.cell.st().resolved.clone()
     }
 
     /// Blocks until the request resolves. A shed request returns
@@ -283,35 +308,18 @@ impl<T: Clone> GatewayHandle<T> {
     ///
     /// [`GatewayError::Shed`] / [`GatewayError::Closed`] when an overload
     /// policy or shutdown dropped the request,
-    /// [`GatewayError::DeadlineExceeded`] when it expired undispatched,
+    /// [`GatewayError::DeadlineExceeded`] when it expired in the ring,
     /// [`GatewayError::Cancelled`] after a cancel, [`GatewayError::Job`]
-    /// when a dispatched chunk failed.
+    /// when a chunk failed.
     pub fn wait(&self) -> Result<Vec<T>, GatewayError> {
         let mut st = self.cell.st();
         loop {
-            match &*st {
-                HandleState::Resolved(r) => return r.clone(),
-                HandleState::Queued => {
-                    // panic-ok: see `HandleCell::st`
-                    st = self.cell.ready.wait(st).expect("gateway handle lock");
-                }
-                HandleState::Dispatched(_) => {
-                    // Take the engine handle out (leaving `Queued` as the
-                    // "a waiter owns it" placeholder), release the lock,
-                    // and block on the engine side; concurrent waiters
-                    // sleep on the condvar until we cache the resolution.
-                    check_yield!("handle.wait_take");
-                    let HandleState::Dispatched(inner) =
-                        std::mem::replace(&mut *st, HandleState::Queued)
-                    else {
-                        // panic-ok: the match arm above guarantees the variant
-                        unreachable!("matched Dispatched above")
-                    };
-                    drop(st);
-                    let r = inner.wait().map_err(GatewayError::from);
-                    return self.cell.cache_resolution(r);
-                }
+            check_yield!("handle.wait_take");
+            if let Some(r) = &st.resolved {
+                return r.clone();
             }
+            // panic-ok: see `HandleCell::st`
+            st = self.cell.ready.wait(st).expect("gateway handle lock");
         }
     }
 
@@ -329,51 +337,21 @@ impl<T: Clone> GatewayHandle<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.cell.st();
         loop {
-            match &*st {
-                HandleState::Resolved(r) => return Some(r.clone()),
-                HandleState::Queued => {
-                    // clock-ok: see the deadline note above.
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (guard, _timeout) = self
-                        .cell
-                        .ready
-                        .wait_timeout(st, deadline - now)
-                        .expect("gateway handle lock"); // panic-ok: see `HandleCell::st`
-                    st = guard;
-                }
-                HandleState::Dispatched(_) => {
-                    check_yield!("handle.wait_take");
-                    let HandleState::Dispatched(inner) =
-                        std::mem::replace(&mut *st, HandleState::Queued)
-                    else {
-                        // panic-ok: the match arm above guarantees the variant
-                        unreachable!("matched Dispatched above")
-                    };
-                    drop(st);
-                    // clock-ok: see the deadline note above.
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match inner.wait_timeout(remaining) {
-                        Some(r) => {
-                            return Some(self.cell.cache_resolution(r.map_err(GatewayError::from)))
-                        }
-                        None => {
-                            // Timed out with the engine still working: put
-                            // the inner handle back for future waiters
-                            // (unless a verdict landed meanwhile).
-                            check_yield!("handle.restore");
-                            let mut st = self.cell.st();
-                            if matches!(*st, HandleState::Queued) {
-                                *st = HandleState::Dispatched(inner);
-                            }
-                            self.cell.ready.notify_all();
-                            return None;
-                        }
-                    }
-                }
+            check_yield!("handle.wait_take");
+            if let Some(r) = &st.resolved {
+                return Some(r.clone());
             }
+            // clock-ok: see the deadline note above.
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let (guard, _timeout) = self
+                .cell
+                .ready
+                .wait_timeout(st, deadline - now)
+                .expect("gateway handle lock"); // panic-ok: see `HandleCell::st`
+            st = guard;
         }
     }
 }
@@ -545,5 +523,45 @@ mod tests {
         // Idempotent, and the verdict sticks.
         handle.cancel();
         assert_eq!(handle.poll(), Some(Err(GatewayError::Cancelled)));
+    }
+
+    #[test]
+    fn settled_chunks_assemble_in_request_order() {
+        let (handle, cell) = GatewayHandle::<u32>::pending();
+        cell.dispatched(3);
+        assert_eq!(handle.stage(), RequestStage::Dispatched);
+        assert_eq!(cell.settle_chunk(2, Ok(vec![5, 6]), true), None);
+        assert_eq!(cell.settle_chunk(0, Ok(vec![1, 2]), true), None);
+        let (settled, resolution) = cell.settle_chunk(1, Ok(vec![3, 4]), true).unwrap();
+        assert_eq!(settled, Settled::Completed);
+        assert_eq!(resolution, Some(Ok(vec![1, 2, 3, 4, 5, 6])));
+        // The caller resolves; the handle is still pending until it does.
+        assert!(!handle.is_done());
+        cell.resolve(resolution.unwrap());
+        assert_eq!(handle.wait(), Ok(vec![1, 2, 3, 4, 5, 6]));
+    }
+
+    #[test]
+    fn a_failed_chunk_fails_the_request_and_a_dropped_one_leaves_it_pending() {
+        let (_, cell) = GatewayHandle::<u32>::pending();
+        cell.dispatched(3);
+        assert_eq!(cell.settle_chunk(0, Err(JobError::Cancelled), true), None);
+        assert_eq!(cell.settle_chunk(1, Err(JobError::Stalled), true), None);
+        // A failure outranks a cancellation, and the first failure wins.
+        assert_eq!(
+            cell.settle_chunk(2, Err(JobError::Panicked), true),
+            Some((
+                Settled::Failed(JobError::Stalled),
+                Some(Err(GatewayError::Job(JobError::Stalled)))
+            ))
+        );
+        let (_, cell) = GatewayHandle::<u32>::pending();
+        cell.dispatched(2);
+        assert_eq!(cell.settle_chunk(0, Ok(vec![1]), false), None);
+        // Counted as completed, but with nothing to deliver.
+        assert_eq!(
+            cell.settle_chunk(1, Ok(vec![2]), true),
+            Some((Settled::Completed, None))
+        );
     }
 }

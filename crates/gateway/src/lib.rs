@@ -1,24 +1,23 @@
 //! # dp-gateway — async admission in front of the Deep Positron serving engine
 //!
-//! `dp_serve` gave the repo a persistent worker pool, but its admission
-//! was the missing front half: `submit_*` pushed straight into an
-//! **unbounded** injector queue, so a traffic burst grew memory without
-//! limit and gave callers no say in what gives under overload. This crate
-//! is that front half — the piece both Deep Positron papers implicitly
-//! assume when they pitch low-precision EMACs for *deployment*: a serving
-//! layer that stays responsive when more traffic arrives than the
-//! hardware can absorb.
+//! `dp_serve` gives the repo a persistent, supervised worker pool; this
+//! crate is its front half — the piece both Deep Positron papers
+//! implicitly assume when they pitch low-precision EMACs for
+//! *deployment*: a serving layer that stays responsive when more traffic
+//! arrives than the hardware can absorb.
 //!
 //! ```text
-//! clients ──try_submit──▶ [bounded ring] ──dispatcher──▶ [engine] ──▶ workers
+//! clients ──try_submit──▶ [bounded ring] ──▶ workers (chunk by chunk)
 //! ```
 //!
 //! * [`gateway`] — the [`Gateway`] and [`GatewayBuilder`]: non-blocking
 //!   `try_submit_*` with a typed [`Admission`] verdict
-//!   (`Admitted | QueueFull | ModelUnknown | RateLimited | …`), a bounded
-//!   multi-producer submission ring, and a dispatcher thread that
-//!   forwards to [`dp_serve::ServeEngine::try_dispatch`] while keeping
-//!   the engine's internal queue under `max_inflight_chunks`.
+//!   (`Admitted | QueueFull | ModelUnknown | RateLimited | …`) and a
+//!   bounded multi-producer submission ring that is the engine's only
+//!   queue: workers take requests and their chunks from it directly —
+//!   fairly between logical models, counted in samples; request-FIFO
+//!   within one — and evaluate every chunk with
+//!   [`dp_serve::eval_chunk`]'s tile sweep.
 //! * [`gateway::OverloadPolicy`] — who pays for a burst: `Block`
 //!   (backpressure the producer), `ShedNewest` (reject the newcomer) or
 //!   `ShedOldest` (evict the stalest queued request; its handle resolves
@@ -28,18 +27,20 @@
 //! * [`metrics`] — lock-free counters and log₂ histograms
 //!   ([`GatewayMetrics`]) with a plain-data [`MetricsSnapshot`] and a
 //!   hand-rolled JSON renderer.
-//! * [`handle`] — [`GatewayHandle`]: poll/wait/`wait_timeout` with cached
-//!   first-wins resolution (double-`wait` is defined), plus cooperative
-//!   [`cancel`](GatewayHandle::cancel), covering the request's whole
-//!   lifecycle including the shed, expired and cancelled paths.
+//! * [`handle`] — [`GatewayHandle`]: the one completion handle. Its cell
+//!   assembles chunk results as workers settle them; poll/wait/
+//!   `wait_timeout` with cached first-wins resolution (double-`wait` is
+//!   defined), plus cooperative [`cancel`](GatewayHandle::cancel),
+//!   covering the request's whole lifecycle including the shed, expired
+//!   and cancelled paths.
 //!
 //! Robustness (this crate + `dp_serve` supervision, see the repo README's
 //! "Robustness & fault injection" section):
 //!
 //! * **Deadlines** — [`gateway::SubmitOptions`] carries a per-request
-//!   deadline; the dispatcher lazily expires dead entries
+//!   deadline; a worker that pops an entry past its deadline expires it
 //!   ([`GatewayError::DeadlineExceeded`], tokens refunded) instead of
-//!   feeding them to a saturated engine.
+//!   starting it. A started request never expires.
 //! * **Supervision** — [`GatewayBuilder::watchdog`] respawns wedged
 //!   workers (only the stuck request fails);
 //!   [`GatewayBuilder::panic_budget`] flips the gateway into a degraded
@@ -50,13 +51,13 @@
 //!   [`GatewayError::Closed`] (`drain_aborted` metric) rather than
 //!   hanging the process.
 //! * **Fault injection** — building with `--features fault-inject`
-//!   compiles the `dp_fault` failure points into the dispatcher and
-//!   engine for deterministic chaos testing; without the feature the
-//!   hooks are inlined `false`s with zero overhead.
+//!   compiles the `dp_fault` failure points into the ring's pop path and
+//!   the engine's chunk jobs for deterministic chaos testing; without the
+//!   feature the hooks are inlined `false`s with zero overhead.
 //!
 //! Admitted traffic stays **bit-identical** to per-sample
 //! [`QuantizedMlp::forward_bits`](deep_positron::QuantizedMlp::forward_bits)
-//! — the gateway reuses the engine's chunked EMAC-reuse datapath.
+//! by the tile kernels' per-column contract.
 //!
 //! ```no_run
 //! use deep_positron::{NumericFormat, QuantizedMlp};

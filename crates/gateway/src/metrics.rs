@@ -116,8 +116,8 @@ pub struct ModelMetrics {
     pub failed: AtomicU64,
     /// Requests shed for this model (rejected at full ring or evicted).
     pub shed: AtomicU64,
-    /// Requests whose deadline passed before dispatch (expired in the
-    /// ring; rate-limit tokens were refunded).
+    /// Requests whose deadline passed before a worker started them
+    /// (expired in the ring; rate-limit tokens were refunded).
     pub expired: AtomicU64,
     /// Samples served to completion.
     pub samples: AtomicU64,
@@ -151,22 +151,21 @@ pub struct GatewayMetrics {
     pub rejected_closed: AtomicU64,
     /// Requests rejected because the serving engine is degraded (worker
     /// panic budget tripped): admission-time rejections plus admitted
-    /// requests dropped at dispatch.
+    /// requests a worker popped and dropped instead of starting.
     pub rejected_degraded: AtomicU64,
-    /// Requests handed to the serving engine by the dispatcher.
+    /// Requests a worker took out of the ring and started.
     pub dispatched: AtomicU64,
-    /// Admitted requests that were still queued when the gateway closed
-    /// the engine underneath them (dispatch failed with `EngineClosed`),
-    /// plus requests dropped when the shutdown drain deadline fired.
+    /// Admitted requests dropped when the shutdown drain deadline fired
+    /// (see `drain_aborted`).
     pub dropped_closed: AtomicU64,
-    /// Admitted requests whose deadline passed before the dispatcher
-    /// could hand them to the engine (lazily expired; tokens refunded).
+    /// Admitted requests whose deadline passed before a worker started
+    /// them (lazily expired on pop; tokens refunded).
     pub deadline_exceeded: AtomicU64,
     /// Requests cancelled via their handle (while queued, or mid-flight
-    /// at a chunk/sample boundary).
+    /// at a chunk boundary).
     pub cancelled: AtomicU64,
-    /// Requests force-resolved `Closed` because the dispatcher's bounded
-    /// shutdown drain hit its deadline (each such request also counts in
+    /// Requests force-resolved `Closed` because the bounded shutdown
+    /// drain hit its deadline (each such request also counts in
     /// `dropped_closed`).
     pub drain_aborted: AtomicU64,
     /// Requests whose every chunk finished successfully.
@@ -521,7 +520,7 @@ impl MetricsSnapshot {
         let _ = writeln!(s, "dp_gateway_queue_depth {}", self.queue_depth);
         let _ = writeln!(s, "# TYPE dp_gateway_queue_depth_peak gauge");
         let _ = writeln!(s, "dp_gateway_queue_depth_peak {}", self.queue_depth_peak);
-        // The dispatcher's recent-depth reservoir as a three-row summary.
+        // The recorder's recent-depth reservoir as a three-row summary.
         // `stat` (not `quantile`) because min/mean/max are not quantile
         // ranks; the `_count` series is always present so the family
         // survives in the exposition (and the drift anchor) when tracing

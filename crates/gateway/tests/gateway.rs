@@ -59,7 +59,7 @@ fn batch(split: &dp_datasets::TrainTest, n: usize) -> Vec<Vec<f32>> {
 #[test]
 fn burst_at_twice_capacity_sheds_newest_and_stays_bit_identical() {
     // The acceptance scenario: a burst of 2× ring capacity against a
-    // paused dispatcher. try_submit must never block, shed + admitted
+    // paused ring. try_submit must never block, shed + admitted
     // must equal submitted, and every admitted request's output must be
     // bit-identical to per-sample forward_bits.
     let (mlp, split) = trained_iris();
@@ -69,8 +69,8 @@ fn burst_at_twice_capacity_sheds_newest_and_stays_bit_identical() {
     let xs = batch(&split, 12);
     let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
 
-    // Stall dispatch so the ring genuinely fills (on a fast machine the
-    // dispatcher would otherwise drain the "burst" as it arrives).
+    // Stall the workers' pops so the ring genuinely fills (on a fast
+    // machine they would otherwise drain the "burst" as it arrives).
     gw.pause_dispatch();
     let burst = 2 * gw.queue_capacity();
     let mut handles = Vec::new();
@@ -195,6 +195,14 @@ fn mixed_format_traffic_through_one_gateway_is_bit_identical() {
             (gw.registry().register("iris", q.clone()).unwrap(), q)
         })
         .collect();
+    // posit<16,1> rides along with a ragged tail: 2·chunk_samples + 3
+    // samples, so its last chunk is a 3-column tile.
+    let q16 = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
+    let key16 = gw.registry().register("iris", q16.clone()).unwrap();
+    let xs16 = batch(&split, 2 * 8 + 3);
+    let h16 = gw
+        .try_submit_forward(&key16, xs16.clone())
+        .expect_admitted();
     let xs = batch(&split, 50);
     let forwards: Vec<_> = models
         .iter()
@@ -210,11 +218,13 @@ fn mixed_format_traffic_through_one_gateway_is_bit_identical() {
         assert_eq!(fh.wait().unwrap(), direct_bits, "{key}");
         assert_eq!(ch.wait().unwrap(), direct_classes, "{key}");
     }
+    let direct16: Vec<Vec<u32>> = xs16.iter().map(|x| q16.forward_bits(x)).collect();
+    assert_eq!(h16.wait().unwrap(), direct16, "{key16}");
     gw.wait_idle();
     let snap = gw.snapshot();
-    assert_eq!(snap.completed, 6);
-    assert_eq!(snap.per_model.len(), 3);
-    assert_eq!(snap.service.count(), 6);
+    assert_eq!(snap.completed, 7);
+    assert_eq!(snap.per_model.len(), 4);
+    assert_eq!(snap.service.count(), 7);
     assert!(snap.queue_wait.quantile_ns(0.5) > 0);
 }
 
@@ -274,21 +284,18 @@ fn unknown_model_and_rate_limits_yield_typed_verdicts() {
 }
 
 #[test]
-fn oversized_request_exceeding_inflight_cap_still_completes() {
-    // A single request bigger than max_inflight_chunks waits for a
-    // drained engine and dispatches alone — it must neither deadlock the
-    // dispatcher nor lose bit-identity, and small traffic around it keeps
-    // flowing.
+fn twenty_chunk_request_beside_a_two_chunk_one_completes_bit_identically() {
+    // One worker, 2-sample chunks: a 20-chunk request and a 2-chunk one
+    // queued behind it. The big one's chunks go out first (request-FIFO),
+    // and both must come back whole and bit-identical.
     let (mlp, split) = trained_iris();
     let gw = Gateway::builder()
         .workers(1)
         .chunk_samples(2)
         .queue_capacity(8)
-        .max_inflight_chunks(2)
         .build();
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
     let key = gw.registry().register("iris", q.clone()).unwrap();
-    // 40 samples / 2-sample chunks = 20 chunk jobs, 10× the inflight cap.
     let big = batch(&split, 40);
     let small = batch(&split, 3);
     let h_big = gw.try_submit_forward(&key, big.clone()).expect_admitted();
@@ -299,6 +306,7 @@ fn oversized_request_exceeding_inflight_cap_still_completes() {
     assert_eq!(h_small.wait().unwrap(), direct_small);
     gw.wait_idle();
     assert_eq!(gw.snapshot().completed, 2);
+    assert_eq!(gw.engine().stats().jobs_run, 22);
 }
 
 #[test]
@@ -409,37 +417,13 @@ fn handle_edge_cases_poll_wait_and_empty_batches() {
 }
 
 #[test]
-fn panicking_request_fails_only_its_own_handle() {
-    let (mlp, split) = trained_iris();
-    let gw = small_gateway(OverloadPolicy::ShedNewest);
-    // posit<8,0> next to a model whose weights panic the datapath is hard
-    // to fabricate; instead panic via the engine seam underneath the
-    // gateway and check the gateway metrics keep serving.
-    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
-    let key = gw.registry().register("iris", q.clone()).unwrap();
-    let poisoned = gw
-        .engine()
-        .submit_job::<usize, _>(|| panic!("injected failure"))
-        .unwrap();
-    let xs = batch(&split, 12);
-    let healthy = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
-    assert_eq!(poisoned.wait(), Err(dp_serve::JobError::Panicked));
-    let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
-    assert_eq!(healthy.wait().unwrap(), direct);
-    gw.wait_idle();
-    let snap = gw.snapshot();
-    assert_eq!(snap.completed, 1);
-    assert_eq!(snap.failed, 0);
-    assert_eq!(gw.engine().stats().panics, 1);
-}
-
-#[test]
 fn shutdown_drains_every_admitted_request() {
     let (mlp, split) = trained_iris();
     let gw = small_gateway(OverloadPolicy::ShedNewest);
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
     let key = gw.registry().register("iris", q.clone()).unwrap();
-    let xs = batch(&split, 20);
+    // 200 samples in 4-sample chunks: 50 chunks per request.
+    let xs = batch(&split, 200);
     let handles: Vec<_> = (0..4)
         .map(|_| gw.try_submit_forward(&key, xs.clone()).expect_admitted())
         .collect();
@@ -478,8 +462,8 @@ fn expired_request_handle_resolves_promptly_without_spinning() {
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
     let key = gw.registry().register("iris", q).unwrap();
 
-    // Hold dispatch so the deadline is unambiguously in the past by the
-    // time the dispatcher pops the entry.
+    // Hold the ring so the deadline is unambiguously in the past by the
+    // time a worker pops the entry.
     gw.pause_dispatch();
     let h = gw
         .try_submit_forward_opts(
@@ -491,7 +475,7 @@ fn expired_request_handle_resolves_promptly_without_spinning() {
     assert_eq!(h.poll(), None, "still queued while dispatch is paused");
     gw.resume_dispatch();
 
-    // The dispatcher expires the entry; the cached verdict must surface
+    // The popping worker expires the entry; the cached verdict must surface
     // through non-blocking poll() within a bounded number of attempts —
     // a regression here spins forever exactly like the shed-handle bug.
     let t0 = Instant::now();
@@ -593,7 +577,7 @@ fn cancelling_a_queued_request_resolves_immediately_and_counts_once() {
         .try_submit_forward(&key, batch(&split, 4))
         .expect_admitted();
     h.cancel();
-    // The verdict is available before the dispatcher even sees the entry.
+    // The verdict is available before a worker even sees the entry.
     assert_eq!(h.poll(), Some(Err(GatewayError::Cancelled)));
     gw.resume_dispatch();
     gw.wait_idle();
@@ -603,60 +587,14 @@ fn cancelling_a_queued_request_resolves_immediately_and_counts_once() {
     assert_eq!(snap.failed, 0);
 }
 
-#[test]
-fn panic_budget_degrades_admission_and_reset_restores_it() {
-    use std::time::{Duration, Instant};
-    let (mlp, split) = trained_iris();
-    let gw = Gateway::builder()
-        .workers(1)
-        .chunk_samples(4)
-        .queue_capacity(8)
-        .panic_budget(dp_serve::PanicBudget {
-            max_panics: 1,
-            window: Duration::from_secs(30),
-        })
-        .build();
-    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
-    let key = gw.registry().register("iris", q).unwrap();
-
-    // Two direct pool panics blow the budget of one.
-    for _ in 0..2 {
-        let h = gw
-            .engine()
-            .submit_job::<usize, _>(|| panic!("boom"))
-            .unwrap();
-        assert!(h.wait().is_err());
-    }
-    let t0 = Instant::now();
-    while !gw.is_degraded() && t0.elapsed() < Duration::from_secs(10) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(gw.is_degraded());
-    assert!(matches!(
-        gw.try_submit_forward(&key, batch(&split, 4)),
-        Admission::Degraded
-    ));
-    let snap = gw.snapshot();
-    assert!(snap.degraded);
-    assert_eq!(snap.rejected_degraded, 1);
-
-    // Operator reset: admission works again end to end.
-    gw.reset_degraded();
-    assert!(!gw.is_degraded());
-    let h = gw
-        .try_submit_forward(&key, batch(&split, 4))
-        .expect_admitted();
-    h.wait().unwrap();
-}
-
 // ---- close(&self) seam: snapshot after close is final ------------------
 
 #[test]
 fn snapshot_after_close_reports_final_conserved_counters() {
     use std::time::Instant;
     // The network front end scrapes /metrics after draining; that scrape
-    // must see *final* counters, not a torn view racing the dispatcher
-    // join or late chunk completions. close(&self) works through an Arc
+    // must see *final* counters, not a torn view racing the ring's drain
+    // or late chunk completions. close(&self) works through an Arc
     // (front ends share the gateway across threads).
     let (mlp, split) = trained_iris();
     let gw = Arc::new(small_gateway(OverloadPolicy::ShedNewest));
@@ -742,4 +680,154 @@ fn snapshot_after_close_reports_final_conserved_counters() {
         assert_eq!(h.wait().unwrap(), direct);
     }
     assert_eq!(doomed.wait(), Err(GatewayError::DeadlineExceeded));
+}
+
+// ---- bit-identity across formats and chunk widths; close; handle stage --
+
+#[test]
+fn sixteen_bit_models_serve_bit_identically() {
+    // The split-table datapath through the full serving stack: a
+    // posit<16,1> model must serve bit-identically to forward_bits and
+    // classify exactly like infer.
+    let (mlp, split) = trained_iris();
+    let gw = small_gateway(OverloadPolicy::ShedNewest);
+    let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
+    let key = gw.registry().register("iris", q.clone()).unwrap();
+    let xs = batch(&split, 40);
+    let bits = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
+    let classes = gw.try_submit_classify(&key, xs.clone()).expect_admitted();
+    let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
+    let direct_classes: Vec<usize> = xs.iter().map(|x| q.infer(x)).collect();
+    assert_eq!(bits.wait().unwrap(), direct);
+    assert_eq!(classes.wait().unwrap(), direct_classes);
+}
+
+#[test]
+fn chunked_tile_evaluation_is_bit_identical_to_per_sample() {
+    // Every chunk runs one weight-stationary tile sweep per layer over
+    // its samples (dot_tile, B = chunk width); per sample it must match
+    // forward_bits / infer exactly — at the production chunk width of
+    // 64, at a ragged width, at B = 1, and for the 16-bit formats whose
+    // gathered-fused tile rides the split-table operands.
+    let (mlp, split) = trained_iris();
+    let gw = Gateway::builder()
+        .workers(2)
+        .chunk_samples(64)
+        .queue_capacity(64)
+        .build();
+    let mut formats = mixed_formats();
+    formats.push(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
+    formats.push(NumericFormat::Float(FloatFormat::new(5, 10).unwrap()));
+    formats.push(NumericFormat::Fixed(FixedFormat::new(16, 10).unwrap()));
+    let xs = batch(&split, 64);
+    for fmt in formats {
+        let q = QuantizedMlp::quantize(&mlp, fmt);
+        let key = gw.registry().register("iris", q.clone()).unwrap();
+        let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
+        let classes: Vec<usize> = xs.iter().map(|x| q.infer(x)).collect();
+        for width in [64usize, 13, 1] {
+            let chunk = xs[..width].to_vec();
+            let bits = gw.try_submit_forward(&key, chunk.clone()).expect_admitted();
+            let class = gw.try_submit_classify(&key, chunk).expect_admitted();
+            assert_eq!(
+                bits.wait().unwrap(),
+                direct[..width],
+                "{fmt} forward B={width}"
+            );
+            assert_eq!(
+                class.wait().unwrap(),
+                classes[..width],
+                "{fmt} classify B={width}"
+            );
+        }
+    }
+}
+
+#[test]
+fn closed_gateway_rejects_whole_requests_and_drains_the_admitted_one() {
+    // After close, a submission is a typed Closed verdict and none of its
+    // chunks ever reaches a worker; the request admitted before the close
+    // still drains completely and correctly.
+    let (mlp, split) = trained_iris();
+    let gw = Gateway::builder()
+        .workers(2)
+        .chunk_samples(4)
+        .queue_capacity(8)
+        .build();
+    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
+    let key = gw.registry().register("iris", q.clone()).unwrap();
+    // 40 samples / 4-sample chunks = 10 chunk jobs admitted before the close.
+    let xs = batch(&split, 40);
+    let admitted = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
+    gw.close();
+    assert!(matches!(
+        gw.try_submit_forward(&key, xs.clone()),
+        Admission::Closed
+    ));
+    assert!(matches!(
+        gw.try_submit_classify(&key, xs.clone()),
+        Admission::Closed
+    ));
+    let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
+    assert_eq!(admitted.wait().unwrap(), direct);
+    assert_eq!(gw.engine().stats().jobs_run, 10);
+    let snap = gw.snapshot();
+    assert_eq!(snap.rejected_closed, 2);
+    assert_eq!(snap.completed, 1);
+}
+
+#[test]
+fn stage_stays_dispatched_while_other_threads_wait() {
+    // Regression: wait()/wait_timeout() used to take the engine-side
+    // handle out of the gateway handle and park it at Queued while they
+    // blocked, so another thread's stage() went Dispatched → Queued and
+    // is_done() read false for the running request. One worker and a
+    // 20k-sample posit<16,1> request on a 4-256-256-3 MLP keep the
+    // request running well past the observation.
+    let (_, split) = trained_iris();
+    let wide = Mlp::new(&[4, 256, 256, 3], 5);
+    let q = QuantizedMlp::quantize(
+        &wide,
+        NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),
+    );
+    let gw = Gateway::builder().workers(1).build();
+    let key = gw.registry().register("wide", q).unwrap();
+    let h = Arc::new(
+        gw.try_submit_forward(&key, batch(&split, 20_000))
+            .expect_admitted(),
+    );
+    let t0 = std::time::Instant::now();
+    while h.stage() == RequestStage::Queued {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "never started"
+        );
+        std::thread::yield_now();
+    }
+    let waiters: Vec<_> = (0..2)
+        .map(|i| {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || {
+                if i == 0 {
+                    h.wait()
+                } else {
+                    h.wait_timeout(std::time::Duration::from_secs(600))
+                        .expect("resolves")
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(h.stage(), RequestStage::Dispatched);
+    assert!(!h.is_done());
+    // Cancel rather than serve all 20k samples: the waiters see the
+    // verdict and the remaining chunks are skipped.
+    h.cancel();
+    for w in waiters {
+        assert_eq!(w.join().unwrap(), Err(GatewayError::Cancelled));
+    }
+    assert_eq!(h.stage(), RequestStage::Done);
+    assert!(h.is_done());
+    gw.wait_idle();
+    assert_eq!(gw.snapshot().cancelled, 1);
 }

@@ -66,7 +66,7 @@ fn trace_conservation_terminals_partition_and_match_prometheus_counters() {
     let mut shed = 0usize;
     for i in 0..2 * cap {
         let opts = if i == 1 || i == 2 {
-            // Already-dead deadline: expires at dispatcher pick-up.
+            // Already-dead deadline: expires when a worker pops it.
             SubmitOptions::new().deadline(Instant::now())
         } else {
             SubmitOptions::new()

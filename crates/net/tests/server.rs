@@ -126,7 +126,7 @@ fn past_deadline_and_unknown_model_get_typed_verdicts() {
     let fmt = models[0].format.to_string();
 
     // Hold dispatch so a 1 ms relative deadline is unambiguously gone by
-    // the time the dispatcher pops the request.
+    // the time a worker pops the request.
     gw.pause_dispatch();
     let req = client.forward_request("iris", &fmt, 1, batch(&split, 4));
     client.send(&req).unwrap();

@@ -1,52 +1,49 @@
-//! The serving engine: admission control in front of the worker pool.
+//! What the engine's workers run: the chunk jobs and the one chunk
+//! evaluator.
 //!
-//! A [`ServeEngine`] owns one long-lived [`WorkerPool`] and one
-//! [`ModelRegistry`], and serves heterogeneous traffic — posit, minifloat
-//! and fixed-point models side by side — from that single pool. Admission
-//! accepts a request (a single sample or a batch against a registered
-//! model), splits large batches into chunks of
-//! [`EngineConfig::chunk_samples`], spreads the chunks round-robin across
-//! the workers' LIFO slots (idle workers steal), and returns a completion
-//! handle immediately. Each chunk job builds the model's per-layer EMAC
-//! array once and sweeps its whole chunk through the weight-stationary
-//! tile kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
+//! The [`ServeEngine`](crate::ServeEngine)'s workers pull chunk jobs
+//! straight from a [`JobSource`](crate::JobSource) (the `dp_gateway`
+//! admission ring). A request is evaluated in chunks of
+//! [`EngineConfig::chunk_samples`] samples, each a contiguous range of the
+//! request's samples; [`chunk_job`] wraps one chunk with cancellation,
+//! the fault points and exactly-once settlement, and [`eval_chunk`] is the
+//! evaluator every chunk runs: the model's per-layer EMAC array built
+//! once, then the whole chunk swept through the weight-stationary tile
+//! kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
 //! `dp_emac::Emac::dot_tile` call per neuron per layer, operand gather
-//! and product-table traffic amortized across the chunk's samples) — and
-//! because the tile contract is per-column bit-identity, results are
-//! **bit-identical** to per-sample [`QuantizedMlp::forward_bits`].
+//! and product-table traffic amortized across the chunk's samples) —
+//! **bit-identical** to per-sample [`QuantizedMlp::forward_bits`] by the
+//! tile contract.
 
 use crate::claim::ClaimCell;
 use crate::faults;
-use crate::handle::{BatchHandle, JobError, JobHandle};
-use crate::pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};
-use crate::registry::{ModelKey, ModelRegistry};
-use deep_positron::{NumericFormat, QuantizedMlp};
-use dp_datasets::Dataset;
+use crate::pool::{PanicBudget, WatchdogConfig};
+use crate::Job;
+use deep_positron::QuantizedMlp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Engine sizing knobs.
+/// [`ServeEngine`](crate::ServeEngine) sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker thread count (clamped to ≥ 1). Defaults to
     /// [`deep_positron::batch::batch_threads`] — the machine's available
     /// parallelism unless `DEEP_POSITRON_THREADS` overrides it.
     pub workers: usize,
-    /// Samples per chunk job when admission splits a batch (clamped to
-    /// ≥ 1). The default of 64 keeps per-chunk EMAC construction amortized
-    /// (cf. the scoped engine's 32-samples-per-thread spawn floor) while
-    /// still feeding every worker on serving-scale batches.
+    /// Samples per chunk (clamped to ≥ 1). The default of 64 keeps
+    /// per-chunk EMAC construction amortized (cf. the scoped engine's
+    /// 32-samples-per-thread spawn floor) while still feeding every
+    /// worker on serving-scale batches.
     pub chunk_samples: usize,
-    /// Optional stall watchdog: a wedged worker is detected, its job's
-    /// handle failed with [`JobError::Stalled`], and the worker respawned
-    /// (see [`WatchdogConfig`]). `None` (the default) keeps the PR-4
-    /// behaviour: a wedged worker wedges forever.
+    /// Optional stall watchdog: a wedged worker is detected, its chunk's
+    /// request failed with [`JobError::Stalled`], and the worker respawned
+    /// (see [`WatchdogConfig`]). `None` (the default): a wedged worker
+    /// wedges forever.
     pub watchdog: Option<WatchdogConfig>,
     /// Optional panic budget: too many worker panics inside a trailing
-    /// window flip the engine to degraded mode, where every new
-    /// submission is rejected with [`ServeError::Degraded`] (see
-    /// [`PanicBudget`]). `None` (the default) never degrades.
+    /// window flip the engine to degraded mode (see [`PanicBudget`]).
+    /// `None` (the default) never degrades.
     pub panic_budget: Option<PanicBudget>,
 }
 
@@ -61,59 +58,37 @@ impl Default for EngineConfig {
     }
 }
 
-/// Errors surfaced at admission or completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// The request named a key with no registered model.
-    UnknownModel(ModelKey),
-    /// The operation is not defined for the model's format (e.g. raw
-    /// EMAC activations of an `F32` baseline model, which has no EMAC
-    /// datapath).
-    UnsupportedFormat(String),
-    /// The engine is closed (shutdown has begun) and rejected the whole
-    /// submission — **no** chunk of the request was enqueued.
-    EngineClosed,
-    /// The engine is in degraded mode (the worker panic budget tripped —
-    /// see [`PanicBudget`]): metrics and already-admitted work still
-    /// drain, but every new submission is rejected until an operator
-    /// calls [`ServeEngine::reset_degraded`].
-    Degraded,
-    /// A worker job failed; the failure poisoned only this request.
-    Job(JobError),
+/// Why a chunk failed to produce a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobError {
+    /// The chunk's evaluation panicked; the panic was confined to its
+    /// request.
+    Panicked,
+    /// The watchdog declared the worker running this chunk stalled; the
+    /// worker was respawned and only this chunk's request failed.
+    Stalled,
+    /// The request's [`CancelToken`] was cancelled before the chunk
+    /// started.
+    Cancelled,
 }
 
-impl std::fmt::Display for ServeError {
+impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::UnknownModel(key) => write!(f, "no model registered under {key}"),
-            ServeError::UnsupportedFormat(what) => write!(f, "{what}"),
-            ServeError::EngineClosed => write!(f, "serving engine is closed (shutting down)"),
-            ServeError::Degraded => write!(
-                f,
-                "serving engine is degraded (worker panic budget exceeded); \
-                 new submissions are rejected"
-            ),
-            ServeError::Job(e) => write!(f, "{e}"),
+            JobError::Panicked => write!(f, "serving job panicked"),
+            JobError::Stalled => write!(f, "serving job stalled its worker (worker respawned)"),
+            JobError::Cancelled => write!(f, "serving job was cancelled"),
         }
     }
 }
 
-impl std::error::Error for ServeError {}
-
-impl From<JobError> for ServeError {
-    fn from(e: JobError) -> Self {
-        ServeError::Job(e)
-    }
-}
+impl std::error::Error for JobError {}
 
 /// A shared cancellation flag for one request.
 ///
-/// Cloning yields another handle to the same flag. The serving datapath
-/// checks it at **chunk boundaries** (before a chunk job starts its
-/// evaluation) and the cancel-aware chunk evaluators
-/// ([`forward_chunk_cancellable`], [`classify_chunk_cancellable`]) check
-/// it between samples, so an abandoned batch stops burning workers within
-/// one sample's latency instead of finishing the whole request.
+/// Cloning yields another handle to the same flag. [`chunk_job`] checks
+/// it before each chunk starts, so an abandoned request stops burning
+/// workers within one chunk instead of finishing the whole request.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     cancelled: Arc<AtomicBool>,
@@ -125,9 +100,8 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation. Idempotent; already-running samples finish,
-    /// everything after the next check point is skipped and the affected
-    /// handles resolve with [`JobError::Cancelled`].
+    /// Requests cancellation. Idempotent; already-running chunks finish,
+    /// later chunks are skipped and settle with [`JobError::Cancelled`].
     pub fn cancel(&self) {
         // seqcst-ok: standalone cancellation flag with no payload; the
         // cold full fence keeps a cancel immediately visible to every
@@ -137,568 +111,111 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        // seqcst-ok: pairs with the store in `cancel`; read at chunk and
-        // sample boundaries, well off the per-MAC hot path.
+        // seqcst-ok: pairs with the store in `cancel`; read once per
+        // chunk, well off the per-MAC hot path.
         self.cancelled.load(Ordering::SeqCst)
     }
 }
 
-/// Per-dispatch options for [`ServeEngine::try_dispatch_with`].
-#[derive(Debug, Clone, Default)]
-pub struct DispatchOptions {
-    /// Logical model name, used to scope fault-injection hits (see the
-    /// `dp_fault` crate) and future per-model diagnostics.
-    pub scope: Option<String>,
-    /// Cooperative cancellation: when the token fires, chunks that have
-    /// not started are completed with [`JobError::Cancelled`] instead of
-    /// being evaluated.
-    pub cancel: Option<CancelToken>,
+/// A request whose chunks run as pool jobs (see [`chunk_job`]).
+pub trait ChunkRequest: Send + Sync + 'static {
+    /// Per-sample result.
+    type Out: Send + 'static;
+
+    /// Logical model name: the fault-injection scope.
+    fn scope(&self) -> &str;
+
+    /// The request's cancellation flag.
+    fn cancel_token(&self) -> &CancelToken;
+
+    /// Evaluates chunk `index`. May panic; [`chunk_job`] confines it.
+    fn eval(&self, index: usize) -> Vec<Self::Out>;
+
+    /// Settles chunk `index` — called exactly once per chunk. `delivered`
+    /// is `false` when the `drop_completion` fault point dropped a
+    /// finished chunk's result: the chunk is settled, but its result must
+    /// never reach the caller.
+    fn settle(&self, index: usize, result: Result<Vec<Self::Out>, JobError>, delivered: bool);
 }
 
-/// A persistent serving engine: one worker pool, one registry, many
-/// formats.
-#[derive(Debug)]
-pub struct ServeEngine {
-    pool: WorkerPool,
-    registry: Arc<ModelRegistry>,
-    chunk_samples: usize,
-    /// Round-robin cursor for spreading chunks across worker slots.
-    cursor: AtomicUsize,
+/// Wraps chunk `index` of `req` as a pool job.
+///
+/// Exactly **one** of normal completion, panic, cancellation or the
+/// watchdog's stall handler settles the chunk (first claimant wins), so a
+/// request can never see a chunk twice — not even when an abandoned
+/// worker's evaluation eventually finishes after the watchdog already
+/// failed it. Cancellation is checked once, before the chunk starts. A
+/// panic settles the chunk as [`JobError::Panicked`] and is then
+/// re-raised so the pool counts it against the panic budget.
+pub fn chunk_job<R: ChunkRequest>(req: Arc<R>, index: usize) -> Job {
+    let claimed = Arc::new(ClaimCell::new());
+    let stall_req = Arc::clone(&req);
+    let stall_claimed = Arc::clone(&claimed);
+    Job::new(
+        move || {
+            let scope = Some(req.scope());
+            // A planned sleep here wedges the worker exactly like a
+            // runaway evaluation would.
+            faults::fire(faults::points::STALL_WORKER, scope);
+            if claimed.is_claimed() {
+                // The watchdog already failed this chunk while the worker
+                // was wedged; don't evaluate it.
+                return;
+            }
+            if req.cancel_token().is_cancelled() {
+                if claimed.claim("engine.chunk.cancel") {
+                    req.settle(index, Err(JobError::Cancelled), true);
+                }
+                return;
+            }
+            // The `panic_in_chunk` point fires inside the unwind boundary,
+            // so an injected panic takes exactly the path of a real one.
+            match catch_unwind(AssertUnwindSafe(|| {
+                faults::fire(faults::points::PANIC_IN_CHUNK, scope);
+                req.eval(index)
+            })) {
+                Ok(out) => {
+                    let delivered = !faults::fire(faults::points::DROP_COMPLETION, scope);
+                    if claimed.claim("engine.chunk.complete") {
+                        req.settle(index, Ok(out), delivered);
+                    }
+                }
+                Err(payload) => {
+                    if claimed.claim("engine.chunk.panic") {
+                        req.settle(index, Err(JobError::Panicked), true);
+                    }
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        },
+        move || {
+            if stall_claimed.claim("engine.chunk.stall") {
+                stall_req.settle(index, Err(JobError::Stalled), true);
+            }
+        },
+    )
 }
 
-impl ServeEngine {
-    /// Builds an engine from `config`.
-    pub fn new(config: EngineConfig) -> Self {
-        ServeEngine {
-            pool: WorkerPool::with_supervision(
-                config.workers.max(1),
-                config.watchdog,
-                config.panic_budget,
-            ),
-            registry: Arc::new(ModelRegistry::new()),
-            chunk_samples: config.chunk_samples.max(1),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Builds an engine with [`EngineConfig::default`] sizing.
-    pub fn with_defaults() -> Self {
-        Self::new(EngineConfig::default())
-    }
-
-    /// The model registry (register/lookup/unregister models here).
-    pub fn registry(&self) -> &ModelRegistry {
-        &self.registry
-    }
-
-    /// Worker thread count.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Pool observability counters.
-    pub fn stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Whether the worker panic budget has tripped (see
-    /// [`EngineConfig::panic_budget`]): already-admitted work drains and
-    /// metrics stay readable, but new submissions are rejected with
-    /// [`ServeError::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        self.pool.is_degraded()
-    }
-
-    /// Operator action: leaves degraded mode and forgets the panic
-    /// history that tripped it.
-    pub fn reset_degraded(&self) {
-        self.pool.reset_degraded();
-    }
-
-    /// Chunk size admission splits batches into (see
-    /// [`EngineConfig::chunk_samples`]). Front ends use this to predict
-    /// how many pool jobs a request will become.
-    pub fn chunk_samples(&self) -> usize {
-        self.chunk_samples
-    }
-
-    /// Per-worker busy time in milliseconds (`0` = idle); see
-    /// [`WorkerPool::worker_busy_ms`](crate::pool::WorkerPool::worker_busy_ms).
-    pub fn worker_busy_ms(&self) -> Vec<u64> {
-        self.pool.worker_busy_ms()
-    }
-
-    /// Queued + running pool jobs — the backpressure signal a bounded
-    /// front end (the `dp_gateway` dispatcher) throttles on.
-    pub fn queue_depth(&self) -> usize {
-        self.pool.queue_depth()
-    }
-
-    /// Blocks until [`ServeEngine::queue_depth`] drops below `below` (or
-    /// the pool drains), returning the observed depth. See
-    /// [`WorkerPool::wait_depth_below`].
-    pub fn wait_depth_below(&self, below: usize) -> usize {
-        self.pool.wait_depth_below(below)
-    }
-
-    /// Bounded [`ServeEngine::wait_depth_below`]: `Some(depth)` once the
-    /// condition holds, `None` if `timeout` elapses first. Front ends use
-    /// this to keep their drain loops responsive to their own deadlines
-    /// even when a worker is wedged.
-    pub fn wait_depth_below_for(
-        &self,
-        below: usize,
-        timeout: std::time::Duration,
-    ) -> Option<usize> {
-        self.pool.wait_depth_below_for(below, timeout)
-    }
-
-    fn model(&self, key: &ModelKey) -> Result<Arc<QuantizedMlp>, ServeError> {
-        self.registry
-            .get(key)
-            .ok_or_else(|| ServeError::UnknownModel(key.clone()))
-    }
-
-    /// [`ServeEngine::model`] restricted to models with an EMAC datapath
-    /// (raw activations are undefined for the `F32` baseline).
-    fn emac_model(&self, key: &ModelKey) -> Result<Arc<QuantizedMlp>, ServeError> {
-        let model = self.model(key)?;
-        if matches!(model.format, NumericFormat::F32) {
-            return Err(ServeError::UnsupportedFormat(format!(
-                "{key}: raw EMAC activations are undefined for the f32 baseline"
-            )));
-        }
-        Ok(model)
-    }
-
-    /// The non-blocking dispatch seam: splits `xs` into chunk jobs running
-    /// `per_chunk` on the pool and returns the assembling handle
-    /// immediately — it never waits for queue space or results.
-    ///
-    /// Chunk enqueueing is **atomic** (via [`WorkerPool::spawn_batch`]):
-    /// either every chunk of the request is admitted or, if the engine is
-    /// closed, none is. This is the entry point bounded front ends
-    /// (`dp_gateway`) drive with their own per-chunk closures; the
-    /// `submit_*` methods below are thin wrappers over it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::EngineClosed`] once shutdown has begun, or
-    /// [`ServeError::Degraded`] while the panic budget is tripped; no
-    /// chunk was enqueued either way.
-    pub fn try_dispatch<T, F>(
-        &self,
-        model: Arc<QuantizedMlp>,
-        xs: Vec<Vec<f32>>,
-        per_chunk: F,
-    ) -> Result<BatchHandle<T>, ServeError>
-    where
-        T: Send + 'static,
-        F: Fn(&QuantizedMlp, &[Vec<f32>]) -> Vec<T> + Send + Sync + 'static,
-    {
-        self.try_dispatch_with(model, xs, DispatchOptions::default(), move |m, chunk| {
-            Ok(per_chunk(m, chunk))
-        })
-    }
-
-    /// [`ServeEngine::try_dispatch`] with per-request [`DispatchOptions`]
-    /// (cancellation, fault-injection scope) and a fallible per-chunk
-    /// closure: a chunk may resolve to a typed [`JobError`] — e.g.
-    /// [`JobError::Cancelled`] from a cancel-aware evaluator — without
-    /// panicking its worker.
-    ///
-    /// Lifecycle guarantees per chunk: exactly **one** of normal
-    /// completion, panic poisoning, or the watchdog's stall resolution
-    /// completes it (first claimant wins), so the batch handle can never
-    /// see a double completion — not even when an abandoned worker's
-    /// chunk eventually finishes after the watchdog already failed it.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::try_dispatch`].
-    pub fn try_dispatch_with<T, F>(
-        &self,
-        model: Arc<QuantizedMlp>,
-        xs: Vec<Vec<f32>>,
-        opts: DispatchOptions,
-        per_chunk: F,
-    ) -> Result<BatchHandle<T>, ServeError>
-    where
-        T: Send + 'static,
-        F: Fn(&QuantizedMlp, &[Vec<f32>]) -> Result<Vec<T>, JobError> + Send + Sync + 'static,
-    {
-        if self.pool.is_degraded() {
-            return Err(ServeError::Degraded);
-        }
-        let scope: Option<Arc<str>> = opts.scope.map(Arc::from);
-        let cancel = opts.cancel;
-        let chunks: Vec<Vec<Vec<f32>>> = split_chunks(xs, self.chunk_samples);
-        let (handle, completer) = BatchHandle::pending(chunks.len());
-        let per_chunk = Arc::new(per_chunk);
-        let jobs: Vec<(usize, Job)> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(index, chunk)| {
-                let model = Arc::clone(&model);
-                let per_chunk = Arc::clone(&per_chunk);
-                let completer = completer.clone();
-                let stall_completer = completer.clone();
-                let scope = scope.clone();
-                let cancel = cancel.clone();
-                // First claimant — normal completion, panic poisoning, or
-                // stall resolution — completes the chunk; the rest no-op.
-                let claimed = Arc::new(ClaimCell::new());
-                let stall_claimed = Arc::clone(&claimed);
-                // relaxed-ok: round-robin placement hint only; a torn or
-                // reordered read just shifts which slot a chunk lands on.
-                let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
-                let job = Job::with_stall_handler(
-                    move || {
-                        let scope = scope.as_deref();
-                        // A planned sleep here wedges the worker exactly
-                        // like a runaway evaluation would.
-                        faults::fire(faults::points::STALL_WORKER, scope);
-                        if claimed.is_claimed() {
-                            // The watchdog already failed this chunk while
-                            // the worker was wedged; don't evaluate it.
-                            return;
-                        }
-                        // Chunk-boundary cancellation check; the cancel-
-                        // aware evaluators additionally check per sample.
-                        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                            if claimed.claim("engine.chunk.cancel") {
-                                completer.complete_chunk(index, Err(JobError::Cancelled));
-                            }
-                            return;
-                        }
-                        // A panic inside the model evaluation poisons only
-                        // this request's handle; re-raising lets the pool
-                        // count it (and keep its worker alive). The
-                        // `panic_in_chunk` failure point fires *inside*
-                        // the evaluation closure (see `submit_forward` /
-                        // the gateway's chunk closure), so an injected
-                        // panic unwinds through the caller's per-chunk
-                        // accounting exactly like a real one.
-                        match catch_unwind(AssertUnwindSafe(|| per_chunk(&model, &chunk))) {
-                            Ok(result) => {
-                                let dropped = faults::fire(faults::points::DROP_COMPLETION, scope);
-                                if !dropped && claimed.claim("engine.chunk.complete") {
-                                    completer.complete_chunk(index, result);
-                                }
-                            }
-                            Err(payload) => {
-                                if claimed.claim("engine.chunk.panic") {
-                                    completer.complete_chunk(index, Err(JobError::Panicked));
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    },
-                    move || {
-                        if stall_claimed.claim("engine.chunk.stall") {
-                            stall_completer.complete_chunk(index, Err(JobError::Stalled));
-                        }
-                    },
-                );
-                (slot, job)
-            })
-            .collect();
-        self.pool
-            .spawn_batch(jobs)
-            .map_err(|_| ServeError::EngineClosed)?;
-        Ok(handle)
-    }
-
-    /// Submits a batch for raw EMAC output activations (bit patterns),
-    /// bit-identical to per-sample [`QuantizedMlp::forward_bits`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`] for an unregistered key,
-    /// [`ServeError::UnsupportedFormat`] for an `F32` model (no EMAC
-    /// datapath), [`ServeError::EngineClosed`] after shutdown began.
-    pub fn submit_forward(
-        &self,
-        key: &ModelKey,
-        xs: Vec<Vec<f32>>,
-    ) -> Result<BatchHandle<Vec<u32>>, ServeError> {
-        let model = self.emac_model(key)?;
-        let scope = key.name().to_string();
-        let opts = DispatchOptions {
-            scope: Some(scope.clone()),
-            cancel: None,
-        };
-        self.try_dispatch_with(model, xs, opts, move |m, chunk| {
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&scope));
-            Ok(forward_chunk(m, chunk))
-        })
-    }
-
-    /// Submits a batch for class predictions, identical to per-sample
-    /// [`QuantizedMlp::infer`] (all formats, including the `F32`
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`] for an unregistered key,
-    /// [`ServeError::EngineClosed`] after shutdown began.
-    pub fn submit_classify(
-        &self,
-        key: &ModelKey,
-        xs: Vec<Vec<f32>>,
-    ) -> Result<BatchHandle<usize>, ServeError> {
-        let model = self.model(key)?;
-        let scope = key.name().to_string();
-        let opts = DispatchOptions {
-            scope: Some(scope.clone()),
-            cancel: None,
-        };
-        self.try_dispatch_with(model, xs, opts, move |m, chunk| {
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&scope));
-            Ok(classify_chunk(m, chunk))
-        })
-    }
-
-    /// Single-sample convenience: [`ServeEngine::submit_forward`] for one
-    /// input, yielding the output activations directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_forward`].
-    pub fn submit_forward_one(
-        &self,
-        key: &ModelKey,
-        x: Vec<f32>,
-    ) -> Result<JobHandle<Vec<u32>>, ServeError> {
-        let model = self.emac_model(key)?;
-        self.submit_job(move || model.forward_bits(&x))
-    }
-
-    /// Single-sample convenience: class prediction for one input.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_classify`].
-    pub fn submit_classify_one(
-        &self,
-        key: &ModelKey,
-        x: Vec<f32>,
-    ) -> Result<JobHandle<usize>, ServeError> {
-        let model = self.model(key)?;
-        self.submit_job(move || model.infer(&x))
-    }
-
-    /// Runs an arbitrary closure on the pool, returning a handle to its
-    /// value. A panic inside `f` poisons only the returned handle.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::EngineClosed`] after shutdown began;
-    /// [`ServeError::Degraded`] while the panic budget is tripped.
-    pub fn submit_job<T, F>(&self, f: F) -> Result<JobHandle<T>, ServeError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.pool.is_degraded() {
-            return Err(ServeError::Degraded);
-        }
-        let (handle, completer) = JobHandle::pending();
-        let stall_completer = completer.clone();
-        let claimed = Arc::new(ClaimCell::new());
-        let stall_claimed = Arc::clone(&claimed);
-        self.pool
-            .spawn(Job::with_stall_handler(
-                move || match catch_unwind(AssertUnwindSafe(f)) {
-                    Ok(v) => {
-                        if claimed.claim("engine.job.complete") {
-                            completer.complete(Ok(v));
-                        }
-                    }
-                    Err(payload) => {
-                        if claimed.claim("engine.job.panic") {
-                            completer.complete(Err(JobError::Panicked));
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                },
-                move || {
-                    if stall_claimed.claim("engine.job.stall") {
-                        stall_completer.complete(Err(JobError::Stalled));
-                    }
-                },
-            ))
-            .map_err(|_| ServeError::EngineClosed)?;
-        Ok(handle)
-    }
-
-    /// Classification accuracy of a registered model over a dataset,
-    /// evaluated on the pool (the serving-path counterpart of
-    /// [`QuantizedMlp::accuracy`], with which it agrees exactly).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_classify`].
-    pub fn accuracy(&self, key: &ModelKey, data: &Dataset) -> Result<f64, ServeError> {
-        if data.is_empty() {
-            return Ok(0.0);
-        }
-        let preds = self.submit_classify(key, data.features.clone())?.wait()?;
-        let correct = preds
-            .iter()
-            .zip(&data.labels)
-            .filter(|(p, &y)| **p == y)
-            .count();
-        Ok(correct as f64 / data.len() as f64)
-    }
-
-    /// Blocks until every submitted job has finished.
-    pub fn wait_idle(&self) {
-        self.pool.wait_idle();
-    }
-
-    /// Closes admission through a shared reference: every subsequent
-    /// submission returns [`ServeError::EngineClosed`] (with **zero**
-    /// chunks enqueued — see [`ServeEngine::try_dispatch`]), while
-    /// already-admitted jobs keep draining. Workers are joined by
-    /// [`ServeEngine::shutdown`] or drop.
-    pub fn close(&self) {
-        self.pool.begin_shutdown();
-    }
-
-    /// Graceful shutdown: stops admission, drains every queued and
-    /// in-flight request (their handles complete), joins the workers.
-    /// Dropping the engine does the same.
-    pub fn shutdown(mut self) {
-        self.pool.shutdown();
-    }
-}
-
-/// The canonical per-chunk forward evaluation: build the model's
-/// per-layer EMAC array once, then run the whole chunk as one
+/// The chunk evaluator every served request runs: builds the model's
+/// per-layer EMAC array once, then runs the whole chunk as one
 /// weight-stationary tile sweep per layer
 /// ([`QuantizedMlp::forward_batch_bits_with`] — each neuron's weight row
 /// goes through `dp_emac::Emac::dot_tile` exactly once, with the chunk's
-/// samples as the tile's activation columns). This is the **single**
-/// definition shared by [`ServeEngine::submit_forward`] and external front
-/// ends (`dp_gateway`), so every admission path runs the identical
-/// datapath and stays bit-identical to per-sample
-/// [`QuantizedMlp::forward_bits`] (the tile contract).
+/// samples as the tile's activation columns). Per sample the output is
+/// bit-identical to [`QuantizedMlp::forward_bits`] (the tile contract);
+/// classification is the argmax of it
+/// ([`QuantizedMlp::argmax_bits`]).
 ///
 /// # Panics
 ///
-/// Panics if the model's format has no EMAC datapath. Callers must gate
-/// admission the way the engine does: registration already validates EMAC
-/// support ([`crate::ModelRegistry::register`]), so excluding the `F32`
-/// baseline at admission makes this infallible inside a pool worker.
-pub fn forward_chunk(model: &QuantizedMlp, chunk: &[Vec<f32>]) -> Vec<Vec<u32>> {
+/// Panics for the `F32` baseline, which has no EMAC datapath. Admission
+/// must screen it out the way the gateway does (raw activations are
+/// rejected, and its classify requests run [`QuantizedMlp::infer`]);
+/// registration already rejects every other format without a datapath
+/// ([`crate::ModelRegistry::register`]).
+pub fn eval_chunk(model: &QuantizedMlp, xs: &[Vec<f32>]) -> Vec<Vec<u32>> {
     let mut emacs = model
         .make_layer_emacs()
-        .expect("admission validated the format"); // panic-ok: registry admission excludes formats without an EMAC datapath
-    model.forward_batch_bits_with(&mut emacs, chunk)
-}
-
-/// The canonical per-chunk classification: the tile-sweep datapath where
-/// an EMAC exists, plain float math for the `F32` baseline. Shared by
-/// [`ServeEngine::submit_classify`] and external front ends (`dp_gateway`)
-/// — see [`forward_chunk`].
-pub fn classify_chunk(model: &QuantizedMlp, chunk: &[Vec<f32>]) -> Vec<usize> {
-    match model.make_layer_emacs() {
-        Some(mut emacs) => model.infer_batch_with(&mut emacs, chunk),
-        None => chunk.iter().map(|x| model.infer(x)).collect(),
-    }
-}
-
-/// Cancel-aware [`forward_chunk`]: checks `cancel` **between samples** and
-/// returns [`JobError::Cancelled`] as soon as it fires, so an abandoned
-/// batch stops burning its worker within one sample's latency. Already-
-/// computed samples are discarded — a cancelled request has no partial
-/// result. Deliberately stays on the per-sample datapath (no tile sweep):
-/// a layer-wide tile would push the earliest cancellation point out to a
-/// whole chunk-layer's latency.
-///
-/// # Errors
-///
-/// [`JobError::Cancelled`] once `cancel` has fired.
-///
-/// # Panics
-///
-/// As [`forward_chunk`]: the model's format must have an EMAC datapath.
-pub fn forward_chunk_cancellable(
-    model: &QuantizedMlp,
-    chunk: &[Vec<f32>],
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<u32>>, JobError> {
-    let mut emacs = model
-        .make_layer_emacs()
-        .expect("admission validated the format"); // panic-ok: registry admission excludes formats without an EMAC datapath
-    let mut out = Vec::with_capacity(chunk.len());
-    for x in chunk {
-        if cancel.is_cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        out.push(model.forward_bits_with(&mut emacs, x));
-    }
-    Ok(out)
-}
-
-/// Cancel-aware [`classify_chunk`]: checks `cancel` between samples (see
-/// [`forward_chunk_cancellable`]).
-///
-/// # Errors
-///
-/// [`JobError::Cancelled`] once `cancel` has fired.
-pub fn classify_chunk_cancellable(
-    model: &QuantizedMlp,
-    chunk: &[Vec<f32>],
-    cancel: &CancelToken,
-) -> Result<Vec<usize>, JobError> {
-    let mut emacs = model.make_layer_emacs();
-    let mut out = Vec::with_capacity(chunk.len());
-    for x in chunk {
-        if cancel.is_cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        out.push(match &mut emacs {
-            Some(emacs) => model.infer_with(emacs, x),
-            None => model.infer(x),
-        });
-    }
-    Ok(out)
-}
-
-/// Splits owned samples into chunks of at most `chunk_samples`, preserving
-/// order.
-fn split_chunks(xs: Vec<Vec<f32>>, chunk_samples: usize) -> Vec<Vec<Vec<f32>>> {
-    let chunk_samples = chunk_samples.max(1);
-    let mut chunks = Vec::with_capacity(xs.len().div_ceil(chunk_samples));
-    let mut rest = xs;
-    while rest.len() > chunk_samples {
-        let tail = rest.split_off(chunk_samples);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    if !rest.is_empty() {
-        chunks.push(rest);
-    }
-    chunks
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_chunks_preserves_order_and_sizes() {
-        let xs: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32]).collect();
-        let chunks = split_chunks(xs.clone(), 4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[1].len(), 4);
-        assert_eq!(chunks[2].len(), 2);
-        let flat: Vec<Vec<f32>> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, xs);
-        assert!(split_chunks(Vec::new(), 4).is_empty());
-        assert_eq!(split_chunks(xs.clone(), 1).len(), 10);
-        assert_eq!(split_chunks(xs, 100).len(), 1);
-    }
+        .expect("admission validated the format"); // panic-ok: admission screens the f32 baseline; registration every other format without an EMAC datapath
+    model.forward_batch_bits_with(&mut emacs, xs)
 }

@@ -5,57 +5,35 @@
 //! of the `deep-positron` quantized batch datapath, built for sustained
 //! request streams rather than one-shot batch calls.
 //!
-//! * [`pool`] — a fixed pool of long-lived worker threads around a
-//!   condvar-backed injector queue, with per-worker LIFO slots and work
-//!   stealing, panic-isolated jobs and graceful draining shutdown.
-//! * [`handle`] — completion handles ([`JobHandle`], [`BatchHandle`]):
-//!   submission returns immediately; results are polled or awaited, and a
-//!   panicking job poisons only its own handle.
+//! * [`pool`] — the [`ServeEngine`]: a fixed pool of long-lived,
+//!   supervised worker threads that pull jobs straight from a
+//!   [`JobSource`] (the `dp_gateway` admission ring), with panic-isolated
+//!   jobs, plus the model registry. A stall **watchdog** respawns wedged
+//!   workers (failing only the stuck request, [`JobError::Stalled`]) and
+//!   a **panic budget** flips the engine's [`Health`] to degraded.
 //! * [`registry`] — a [`ModelRegistry`] of named
 //!   [`QuantizedMlp`](deep_positron::QuantizedMlp)s keyed
 //!   by name + format descriptor, so one engine serves posit, minifloat
 //!   and fixed-point models side by side.
-//! * [`engine`] — the [`ServeEngine`] admission layer: accepts single
-//!   samples or batches, splits large batches into chunk jobs with
-//!   per-chunk EMAC reuse, and stays **bit-identical** to per-sample
+//! * [`engine`] — [`EngineConfig`], [`chunk_job`], which wraps one
+//!   chunk of a request as a job with cancellation
+//!   ([`CancelToken`], checked before each chunk) and exactly-once
+//!   settlement, and [`eval_chunk`], the one chunk evaluator: a tile
+//!   sweep **bit-identical** to per-sample
 //!   [`QuantizedMlp::forward_bits`](deep_positron::QuantizedMlp::forward_bits).
-//!   Optional supervision hardens it: a stall **watchdog** respawns
-//!   wedged workers (failing only the stuck job, [`JobError::Stalled`]),
-//!   a **panic budget** flips admission to a degraded read-only mode
-//!   ([`ServeError::Degraded`]), and a [`CancelToken`] lets callers stop
-//!   an abandoned batch at sample granularity.
 //! * [`faults`] — the compile-time seam for the `dp_fault` failure points
 //!   (feature `fault-inject`; inert inlined stubs otherwise).
 //!
-//! ```no_run
-//! use deep_positron::{NumericFormat, QuantizedMlp};
-//! use dp_posit::PositFormat;
-//! use dp_serve::ServeEngine;
-//!
-//! # fn trained() -> deep_positron::Mlp { unimplemented!() }
-//! let engine = ServeEngine::with_defaults();
-//! let format = NumericFormat::Posit(PositFormat::new(8, 0)?);
-//! let key = engine
-//!     .registry()
-//!     .register("iris", QuantizedMlp::quantize(&trained(), format))?;
-//! let pending = engine.submit_classify(&key, vec![vec![0.1, 0.2, 0.3, 0.4]])?;
-//! let classes = pending.wait()?;
-//! # let _ = classes;
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! Requests enter through `dp_gateway::Gateway`, whose ring is the
+//! engine's job source.
 
 pub(crate) mod check;
 pub(crate) mod claim;
 pub mod engine;
 pub mod faults;
-pub mod handle;
 pub mod pool;
 pub mod registry;
 
-pub use engine::{
-    classify_chunk, classify_chunk_cancellable, forward_chunk, forward_chunk_cancellable,
-    CancelToken, DispatchOptions, EngineConfig, ServeEngine, ServeError,
-};
-pub use handle::{BatchHandle, JobError, JobHandle};
-pub use pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};
+pub use engine::{chunk_job, eval_chunk, CancelToken, ChunkRequest, EngineConfig, JobError};
+pub use pool::{Health, Job, JobSource, PanicBudget, PoolStats, ServeEngine, WatchdogConfig};
 pub use registry::{ModelKey, ModelRegistry, RegistryError};

@@ -1,21 +1,19 @@
-//! The long-lived worker pool: a condvar-backed injector queue plus one
-//! LIFO slot per worker, with work stealing — now supervised.
+//! The serving engine's worker pool: supervised threads that pull their
+//! work straight from a [`JobSource`], next to the model registry they
+//! serve.
 //!
-//! Workers are ordinary `std::thread`s that live for the pool's lifetime,
+//! Workers are ordinary `std::thread`s that live for the engine's lifetime,
 //! so a request stream pays thread spawn cost once rather than per batch
 //! (the scoped-thread engine in `deep_positron::batch` remains as the
-//! zero-setup fallback). Scheduling is the classic two-level scheme:
-//!
-//! * the **injector** is a global FIFO that any producer can push to;
-//! * each worker owns a **LIFO slot** — targeted submissions
-//!   ([`WorkerPool::spawn_at`]) land there, the owner pops newest-first
-//!   (its model/EMAC state is still cache-warm), and idle workers steal
-//!   oldest-first from other slots once the injector is dry.
+//! zero-setup fallback). The pool keeps no queue of its own: each worker
+//! blocks inside [`JobSource::next_job`] — in the serving stack, on
+//! `dp_gateway`'s admission ring — runs the job it gets outside every
+//! lock, and reports it back through [`JobSource::job_settled`]. A worker
+//! exits once the source returns `None` (closed and drained).
 //!
 //! A panicking job is caught and counted; the worker thread survives and
-//! keeps serving (the `engine` layer additionally poisons the panicked
-//! request's completion handle). Shutdown is graceful: workers drain every
-//! queued job before exiting.
+//! keeps serving (the job itself has already failed its request — see
+//! `crate::chunk_job`).
 //!
 //! # Supervision
 //!
@@ -26,18 +24,19 @@
 //!   when it picks up a job; a supervisor thread scans the stamps and,
 //!   when a worker has been busy on one job beyond the stall threshold,
 //!   *abandons* that worker (its thread is detached, its generation
-//!   retired), runs the job's registered stall handler (which fails only
-//!   the stuck job's completion handle) and respawns a fresh worker on the
-//!   same slot. Queue accounting (`active`, `jobs_run`) is settled by the
-//!   watchdog, so drain and depth waiters never hang on a wedged thread.
+//!   retired), runs the job's stall handler (which fails only the stuck
+//!   job's request), settles the job with the source and respawns a fresh
+//!   worker on the same slot, which resumes pulling from the source.
 //! * A **panic budget** ([`PanicBudget`]) — worker panics are timestamped;
 //!   when more than the budgeted number land inside the trailing window
-//!   the pool flips to **degraded** ([`WorkerPool::is_degraded`]). The
-//!   pool itself keeps draining; admission layers (`ServeEngine`,
-//!   `dp_gateway`) consult the flag and reject new work with a typed
-//!   error until an operator calls [`WorkerPool::reset_degraded`].
+//!   the pool's [`Health`] flips to **degraded**. The pool itself keeps
+//!   running; the source (and admission in front of it) consults the
+//!   flag and refuses new work with a typed error until an operator calls
+//!   [`ServeEngine::reset_degraded`].
 
 use crate::check::{self, check_yield, Condvar, Mutex};
+use crate::engine::EngineConfig;
+use crate::registry::ModelRegistry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,46 +44,49 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A unit of work for the pool: the job closure plus an optional stall
-/// handler the watchdog runs if the job wedges its worker (see
+type Thunk = Box<dyn FnOnce() + Send + 'static>;
+
+/// A unit of work for the pool: the job closure plus the stall handler
+/// the watchdog runs instead if the job wedges its worker (see
 /// [`WatchdogConfig`]). The handler's contract is to fail **only this
-/// job's** completion handle; the watchdog has already settled the pool's
-/// queue accounting when it runs.
+/// job's** request.
 pub struct Job {
-    run: Box<dyn FnOnce() + Send + 'static>,
-    on_stalled: Option<Box<dyn FnOnce() + Send + 'static>>,
+    run: Thunk,
+    on_stalled: Thunk,
 }
 
 impl Job {
-    /// A plain job with no stall handler (a stalled worker is still
-    /// respawned; there is just nothing to notify).
-    pub fn new(run: impl FnOnce() + Send + 'static) -> Self {
-        Job {
-            run: Box::new(run),
-            on_stalled: None,
-        }
-    }
-
-    /// A job with a stall handler, invoked (at most once, instead of the
-    /// job ever completing normally from the pool's point of view) when
-    /// the watchdog abandons the worker running this job.
-    pub fn with_stall_handler(
+    /// A job and its stall handler. The handler runs at most once, and
+    /// only when the watchdog abandons the worker running this job.
+    pub fn new(
         run: impl FnOnce() + Send + 'static,
         on_stalled: impl FnOnce() + Send + 'static,
     ) -> Self {
         Job {
             run: Box::new(run),
-            on_stalled: Some(Box::new(on_stalled)),
+            on_stalled: Box::new(on_stalled),
         }
     }
 }
 
 impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("has_stall_handler", &self.on_stalled.is_some())
-            .finish()
+        f.debug_struct("Job").finish_non_exhaustive()
     }
+}
+
+/// Where the pool's workers get their work.
+pub trait JobSource: Send + Sync + 'static {
+    /// Blocks until the next job is ready. `None` means the source is
+    /// closed and drained, and retires the calling worker. `health` is
+    /// the pool's panic-budget state, for sources that refuse to start
+    /// new work while the pool is degraded.
+    fn next_job(&self, health: &Health) -> Option<Job>;
+
+    /// Called exactly once for every job [`JobSource::next_job`] handed
+    /// out: after it ran (panicked or not), or — when the watchdog
+    /// abandoned its worker — after its stall handler ran.
+    fn job_settled(&self);
 }
 
 /// Watchdog sizing: how long a worker may sit on one job before it is
@@ -114,7 +116,7 @@ impl Default for WatchdogConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicBudget {
     /// Panics tolerated within [`PanicBudget::window`]; the
-    /// `max_panics + 1`-th trips [`WorkerPool::is_degraded`].
+    /// `max_panics + 1`-th trips [`Health::is_degraded`].
     pub max_panics: u32,
     /// Trailing window over which panics are counted.
     pub window: Duration,
@@ -129,26 +131,15 @@ impl Default for PanicBudget {
     }
 }
 
-/// Error returned when submitting to a pool that is shutting down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShuttingDown;
-
-impl std::fmt::Display for ShuttingDown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker pool is shutting down")
-    }
-}
-
-impl std::error::Error for ShuttingDown {}
-
 /// Counters exposed for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker thread count.
     pub workers: usize,
-    /// Jobs executed to completion (including panicked and stalled ones —
-    /// a stalled job is counted by the watchdog when it abandons the
-    /// worker, so `jobs_run` always converges to the submitted total).
+    /// Jobs (request chunks) executed to completion, including panicked
+    /// and stalled ones — a stalled job is counted by the watchdog when
+    /// it abandons the worker, so `jobs_run` always converges to the
+    /// number of jobs handed out.
     pub jobs_run: u64,
     /// Jobs whose closure panicked (caught; the worker survived).
     pub panics: u64,
@@ -157,134 +148,56 @@ pub struct PoolStats {
     /// Replacement workers the watchdog spawned (equals `stalled` unless a
     /// respawn itself failed).
     pub respawned: u64,
-    /// Whether the panic budget has tripped (see
-    /// [`WorkerPool::is_degraded`]).
+    /// Whether the panic budget has tripped (see [`Health`]).
     pub degraded: bool,
 }
 
-struct State {
-    injector: VecDeque<Job>,
-    /// Jobs currently sitting in per-worker LIFO slots.
-    queued_local: usize,
-    /// Jobs currently executing on a worker.
-    active: usize,
-    shutdown: bool,
-}
-
-impl State {
-    fn is_drained(&self) -> bool {
-        self.injector.is_empty() && self.queued_local == 0 && self.active == 0
-    }
-
-    /// Queued + running jobs (injector, LIFO slots, and active workers).
-    fn depth(&self) -> usize {
-        self.injector.len() + self.queued_local + self.active
-    }
-}
-
-/// Per-slot heartbeat + supervision state. A *slot* outlives any one
-/// worker thread: the watchdog retires a wedged worker's generation and
-/// hands the slot to a replacement.
-struct WorkerWatch {
-    /// Generation of the thread currently owning this slot. A worker
-    /// whose spawn-time generation no longer matches has been abandoned
-    /// and must exit without touching slot state or queue accounting.
-    gen: AtomicU64,
-    /// Heartbeat: 0 when idle, else `Shared::now_ms` at the moment the
-    /// current job was picked up.
-    busy_since_ms: AtomicU64,
-    /// The running job's stall handler, parked here so the watchdog can
-    /// take it without cooperating with the (possibly wedged) worker.
-    /// Lock order: `state` before this.
-    stall_handler: Mutex<Option<Box<dyn FnOnce() + Send + 'static>>>,
-}
-
-impl WorkerWatch {
-    /// The parked stall handler (lock order: `state` before this).
-    fn handler(&self) -> check::MutexGuard<'_, Option<Box<dyn FnOnce() + Send + 'static>>> {
-        // panic-ok: holders only move the boxed handler; no unwind.
-        self.stall_handler.lock().expect("stall handler lock")
-    }
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Signalled when work arrives or shutdown flips.
-    work: Condvar,
-    /// Signalled after every job completion, so waiters can re-check
-    /// drain ([`WorkerPool::wait_idle`]) or depth
-    /// ([`WorkerPool::wait_depth_below`]).
-    progress: Condvar,
-    /// Per-worker LIFO slots. Lock order: `state` before any slot.
-    slots: Vec<Mutex<Vec<Job>>>,
-    /// Per-worker supervision state, parallel to `slots`.
-    watches: Vec<WorkerWatch>,
-    /// Worker thread handles by slot, swapped by the watchdog on respawn
-    /// (the wedged thread's handle is dropped, i.e. detached).
-    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
-    /// Monotonic time base for the heartbeat stamps.
-    epoch: Instant,
-    jobs_run: AtomicU64,
-    panics: AtomicU64,
-    stalled: AtomicU64,
-    respawned: AtomicU64,
+/// The pool's panic-budget state: the degraded flag plus the recent
+/// panic times that trip it.
+pub struct Health {
     degraded: AtomicBool,
     budget: Option<PanicBudget>,
     /// Timestamps of recent panics (trimmed to the budget window).
     panic_times: Mutex<VecDeque<Instant>>,
 }
 
-impl Shared {
-    /// Milliseconds since pool start, offset by 1 so 0 can mean "idle".
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64 + 1
+impl std::fmt::Debug for Health {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Health")
+            .field("degraded", &self.is_degraded())
+            .field("budget", &self.budget)
+            .finish()
     }
+}
 
-    /// The central queue/accounting lock.
-    fn st(&self) -> check::MutexGuard<'_, State> {
-        // panic-ok: no holder of the state lock can unwind — jobs run
-        // outside every lock — so poisoning is unreachable.
-        self.state.lock().expect("pool lock")
-    }
-
-    /// Worker `i`'s LIFO slot (lock order: `state` before any slot).
-    fn slot(&self, i: usize) -> check::MutexGuard<'_, Vec<Job>> {
-        // panic-ok: slot holders only push/pop a Vec; no unwind.
-        self.slots[i].lock().expect("slot lock")
-    }
-
-    /// The worker-thread handle table (lock order: `state` before this).
-    fn thread_table(&self) -> check::MutexGuard<'_, Vec<Option<JoinHandle<()>>>> {
-        // panic-ok: holders only swap Option handles; no unwind.
-        self.threads.lock().expect("threads lock")
-    }
-
-    /// Pops the next job for worker `me`: own slot newest-first, then the
-    /// injector, then steal oldest-first from the other slots. Must be
-    /// called with the `state` lock held (`st` is that guard's contents).
-    fn take_job(&self, st: &mut State, me: usize) -> Option<Job> {
-        if st.queued_local > 0 {
-            if let Some(job) = self.slot(me).pop() {
-                st.queued_local -= 1;
-                return Some(job);
-            }
+impl Health {
+    fn new(budget: Option<PanicBudget>) -> Self {
+        Health {
+            degraded: AtomicBool::new(false),
+            budget,
+            panic_times: check::mutex("pool.panic_times", VecDeque::new()),
         }
-        if let Some(job) = st.injector.pop_front() {
-            return Some(job);
-        }
-        if st.queued_local > 0 {
-            let n = self.slots.len();
-            for off in 1..n {
-                let victim = (me + off) % n;
-                let mut slot = self.slot(victim);
-                if !slot.is_empty() {
-                    let job = slot.remove(0);
-                    st.queued_local -= 1;
-                    return Some(job);
-                }
-            }
-        }
-        None
+    }
+
+    /// Whether the panic budget has tripped. The pool itself keeps
+    /// running; admission layers consult this flag and reject new work
+    /// with a typed error.
+    pub fn is_degraded(&self) -> bool {
+        // seqcst-ok: pairs with the SeqCst stores in `note_panic` /
+        // `reset`; lock-free admission check off the hot loop.
+        self.degraded.load(Ordering::SeqCst)
+    }
+
+    fn times(&self) -> check::MutexGuard<'_, VecDeque<Instant>> {
+        // panic-ok: holders only mutate a VecDeque; no unwind.
+        self.panic_times.lock().expect("panic budget lock")
+    }
+
+    /// Clears the degraded flag and forgets the panic history.
+    fn reset(&self) {
+        self.times().clear();
+        // seqcst-ok: pairs with the loads in `is_degraded`.
+        self.degraded.store(false, Ordering::SeqCst);
     }
 
     /// Records one worker panic against the budget; flips `degraded` when
@@ -294,8 +207,7 @@ impl Shared {
         // clock-ok: the panic budget's trailing window is a wall-clock
         // supervision contract, independent of the trace clock seam.
         let now = Instant::now();
-        // panic-ok: holders only mutate a VecDeque; no unwind.
-        let mut times = self.panic_times.lock().expect("panic budget lock");
+        let mut times = self.times();
         times.push_back(now);
         while let Some(&front) = times.front() {
             if now.duration_since(front) > budget.window {
@@ -306,27 +218,106 @@ impl Shared {
         }
         if times.len() as u64 > u64::from(budget.max_panics) {
             // seqcst-ok: standalone admission flag read lock-free by the
-            // engine/gateway; the cold full fence keeps the degraded flip
-            // immediately visible to every admission thread.
+            // source and the gateway; the cold full fence keeps the
+            // degraded flip immediately visible to every admission thread.
             self.degraded.store(true, Ordering::SeqCst);
         }
     }
 }
 
-/// A fixed-size pool of long-lived worker threads.
-///
-/// See the [module docs](self) for the scheduling scheme and optional
-/// supervision. Dropping the pool performs a graceful
-/// [`WorkerPool::shutdown`].
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    watchdog: Option<JoinHandle<()>>,
+struct State {
+    /// Jobs currently executing on a worker.
+    active: usize,
+    shutdown: bool,
 }
 
-impl std::fmt::Debug for WorkerPool {
+/// Per-slot heartbeat + supervision state. A *slot* outlives any one
+/// worker thread: the watchdog retires a wedged worker's generation and
+/// hands the slot to a replacement.
+struct WorkerWatch {
+    /// Generation of the thread currently owning this slot. A worker
+    /// whose spawn-time generation no longer matches has been abandoned
+    /// and must exit without touching slot state or accounting.
+    gen: AtomicU64,
+    /// Heartbeat: 0 when idle, else `Shared::now_ms` at the moment the
+    /// current job was picked up.
+    busy_since_ms: AtomicU64,
+    /// The running job's stall handler, parked here so the watchdog can
+    /// take it without cooperating with the (possibly wedged) worker.
+    /// Lock order: `state` before this.
+    stall_handler: Mutex<Option<Thunk>>,
+}
+
+impl WorkerWatch {
+    /// The parked stall handler (lock order: `state` before this).
+    fn handler(&self) -> check::MutexGuard<'_, Option<Thunk>> {
+        // panic-ok: holders only move the boxed handler; no unwind.
+        self.stall_handler.lock().expect("stall handler lock")
+    }
+}
+
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled after every job settles and on shutdown, so the watchdog
+    /// re-checks its exit condition.
+    progress: Condvar,
+    /// Per-worker supervision state, one per slot.
+    watches: Vec<WorkerWatch>,
+    /// Worker thread handles by slot, swapped by the watchdog on respawn
+    /// (the wedged thread's handle is dropped, i.e. detached).
+    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
+    /// Monotonic time base for the heartbeat stamps.
+    epoch: Instant,
+    source: Arc<dyn JobSource>,
+    health: Health,
+    jobs_run: AtomicU64,
+    panics: AtomicU64,
+    stalled: AtomicU64,
+    respawned: AtomicU64,
+}
+
+impl Shared {
+    /// Milliseconds since pool start, offset by 1 so 0 can mean "idle".
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64 + 1
+    }
+
+    /// The central accounting lock.
+    fn st(&self) -> check::MutexGuard<'_, State> {
+        // panic-ok: no holder of the state lock can unwind — jobs run
+        // outside every lock — so poisoning is unreachable.
+        self.state.lock().expect("pool lock")
+    }
+
+    /// The worker-thread handle table (lock order: `state` before this).
+    fn thread_table(&self) -> check::MutexGuard<'_, Vec<Option<JoinHandle<()>>>> {
+        // panic-ok: holders only swap Option handles; no unwind.
+        self.threads.lock().expect("threads lock")
+    }
+}
+
+/// A persistent serving engine: a fixed pool of long-lived, supervised
+/// worker threads pulling chunk jobs from one [`JobSource`], and the
+/// registry of models they serve — posit, minifloat and fixed-point side
+/// by side.
+///
+/// See the [module docs](self) for the worker loop and the optional
+/// supervision. Dropping the engine joins its workers, which exit once
+/// the source returns `None` — close the source first. A worker the
+/// watchdog abandoned is **not** joined; its thread was detached at
+/// respawn time.
+pub struct ServeEngine {
+    shared: Arc<Shared>,
+    watchdog: Option<JoinHandle<()>>,
+    registry: ModelRegistry,
+    chunk_samples: usize,
+}
+
+impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.shared.slots.len())
+        f.debug_struct("ServeEngine")
+            .field("workers", &self.workers())
+            .field("chunk_samples", &self.chunk_samples)
             .field("supervised", &self.watchdog.is_some())
             .finish_non_exhaustive()
     }
@@ -342,37 +333,20 @@ fn spawn_worker(shared: &Arc<Shared>, slot: usize, gen: u64) -> JoinHandle<()> {
         .expect("spawn pool worker")
 }
 
-impl WorkerPool {
-    /// Spawns an unsupervised pool with `workers` threads (clamped to
-    /// ≥ 1): no watchdog, no panic budget — the PR-4 behaviour.
-    pub fn new(workers: usize) -> Self {
-        Self::with_supervision(workers, None, None)
-    }
-
-    /// Spawns a pool with `workers` threads (clamped to ≥ 1) and optional
-    /// supervision: a stall watchdog and/or a panic budget (see the
-    /// [module docs](self)).
-    pub fn with_supervision(
-        workers: usize,
-        watchdog: Option<WatchdogConfig>,
-        budget: Option<PanicBudget>,
-    ) -> Self {
-        let workers = workers.max(1);
+impl ServeEngine {
+    /// Builds an engine from `config` (see [`EngineConfig`]): spawns its
+    /// workers pulling from `source`, plus the watchdog if configured.
+    pub fn new(config: EngineConfig, source: Arc<dyn JobSource>) -> Self {
+        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             state: check::mutex(
                 "pool.state",
                 State {
-                    injector: VecDeque::new(),
-                    queued_local: 0,
                     active: 0,
                     shutdown: false,
                 },
             ),
-            work: check::condvar(),
             progress: check::condvar(),
-            slots: (0..workers)
-                .map(|_| check::mutex("pool.slot", Vec::new()))
-                .collect(),
             watches: (0..workers)
                 .map(|_| WorkerWatch {
                     gen: AtomicU64::new(0),
@@ -383,21 +357,20 @@ impl WorkerPool {
             threads: check::mutex("pool.threads", (0..workers).map(|_| None).collect()),
             // clock-ok: construction-time anchor for busy-ms deltas, never compared to seam time
             epoch: Instant::now(),
+            source,
+            health: Health::new(config.panic_budget),
             jobs_run: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             stalled: AtomicU64::new(0),
             respawned: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            budget,
-            panic_times: check::mutex("pool.panic_times", VecDeque::new()),
         });
         {
             let mut threads = shared.thread_table();
-            for i in 0..workers {
-                threads[i] = Some(spawn_worker(&shared, i, 0));
+            for (i, slot) in threads.iter_mut().enumerate() {
+                *slot = Some(spawn_worker(&shared, i, 0));
             }
         }
-        let watchdog = watchdog.map(|cfg| {
+        let watchdog = config.watchdog.map(|cfg| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("dp-serve-watchdog".to_string())
@@ -405,12 +378,27 @@ impl WorkerPool {
                 // panic-ok: see `spawn_worker`.
                 .expect("spawn pool watchdog")
         });
-        WorkerPool { shared, watchdog }
+        ServeEngine {
+            shared,
+            watchdog,
+            registry: ModelRegistry::new(),
+            chunk_samples: config.chunk_samples.max(1),
+        }
     }
 
-    /// Worker thread count (stable across shutdown and respawns).
+    /// The model registry (register/lookup/unregister models here).
+    pub fn registry(&self) -> &ModelRegistry {
+        &self.registry
+    }
+
+    /// Samples per chunk (see [`EngineConfig::chunk_samples`]).
+    pub fn chunk_samples(&self) -> usize {
+        self.chunk_samples
+    }
+
+    /// Worker thread count (stable across respawns).
     pub fn workers(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.watches.len()
     }
 
     /// Observability counters.
@@ -419,7 +407,7 @@ impl WorkerPool {
         // no ordering against the workers that bump them.
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         PoolStats {
-            workers: self.shared.slots.len(),
+            workers: self.workers(),
             jobs_run: ld(&self.shared.jobs_run),
             panics: ld(&self.shared.panics),
             stalled: ld(&self.shared.stalled),
@@ -448,181 +436,23 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Whether the panic budget has tripped. The pool itself still drains
-    /// (and still accepts jobs — admission layers are the ones expected to
-    /// consult this flag and reject with a typed error).
+    /// Whether the panic budget has tripped (see [`Health`]).
     pub fn is_degraded(&self) -> bool {
-        // seqcst-ok: pairs with the SeqCst stores in `note_panic` /
-        // `reset_degraded`; lock-free admission check off the hot loop.
-        self.shared.degraded.load(Ordering::SeqCst)
+        self.shared.health.is_degraded()
     }
 
     /// Operator action: clears the degraded flag and forgets the panic
     /// history that tripped it.
     pub fn reset_degraded(&self) {
-        self.shared
-            .panic_times
-            .lock()
-            .expect("panic budget lock") // panic-ok: see `note_panic`
-            .clear();
-        // seqcst-ok: pairs with the loads in `is_degraded`.
-        self.shared.degraded.store(false, Ordering::SeqCst);
+        self.shared.health.reset();
     }
+}
 
-    /// Submits a job to the global injector queue.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuttingDown`] once [`WorkerPool::shutdown`] has begun.
-    pub fn spawn(&self, job: Job) -> Result<(), ShuttingDown> {
-        let mut st = self.shared.st();
-        if st.shutdown {
-            return Err(ShuttingDown);
-        }
-        st.injector.push_back(job);
-        drop(st);
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
-    /// Submits a whole batch of `(hint, job)` pairs **atomically**: either
-    /// every job is enqueued (each to worker `hint % workers`'s LIFO slot,
-    /// like [`WorkerPool::spawn_at`]) or — if shutdown has begun — none
-    /// are. A multi-chunk request can therefore never be split by a
-    /// concurrent shutdown into "first half enqueued, second half
-    /// rejected".
-    ///
-    /// # Errors
-    ///
-    /// [`ShuttingDown`] once [`WorkerPool::shutdown`] has begun; no job
-    /// from the batch was enqueued.
-    pub fn spawn_batch(&self, jobs: Vec<(usize, Job)>) -> Result<(), ShuttingDown> {
-        let n_slots = self.shared.slots.len();
-        let mut st = self.shared.st();
-        if st.shutdown {
-            return Err(ShuttingDown);
-        }
-        let n = jobs.len();
-        for (hint, job) in jobs {
-            let slot = hint % n_slots;
-            st.queued_local += 1;
-            self.shared.slot(slot).push(job);
-        }
-        drop(st);
-        if n == 1 {
-            self.shared.work.notify_one();
-        } else if n > 1 {
-            self.shared.work.notify_all();
-        }
-        Ok(())
-    }
-
-    /// Queued + running job count: injector backlog, LIFO-slot backlog and
-    /// jobs currently executing. This is the pressure signal admission
-    /// layers (the `dp_gateway` dispatcher) throttle on.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.st().depth()
-    }
-
-    /// Blocks until [`WorkerPool::queue_depth`] drops below `below` (or
-    /// the pool drains entirely, which covers `below == 0`), returning the
-    /// depth observed. Progress is guaranteed: workers signal after every
-    /// job completion and queued jobs always run, even during shutdown
-    /// (draining semantics) — and under a watchdog even a wedged worker's
-    /// accounting is settled.
-    pub fn wait_depth_below(&self, below: usize) -> usize {
-        let mut st = self.shared.st();
-        loop {
-            let depth = st.depth();
-            if depth < below || st.is_drained() {
-                return depth;
-            }
-            // panic-ok: see `Shared::st` — the state lock cannot poison.
-            st = self.shared.progress.wait(st).expect("pool lock");
-        }
-    }
-
-    /// Bounded [`WorkerPool::wait_depth_below`]: returns `Some(depth)` as
-    /// soon as the depth condition holds, or `None` if `timeout` elapses
-    /// first (the depth condition still false).
-    pub fn wait_depth_below_for(&self, below: usize, timeout: Duration) -> Option<usize> {
-        // clock-ok: caller-side wall-clock wait bound (the OS condvar
-        // wait below is real-time anyway).
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.st();
-        loop {
-            let depth = st.depth();
-            if depth < below || st.is_drained() {
-                return Some(depth);
-            }
-            // clock-ok: see the deadline note above.
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .shared
-                .progress
-                .wait_timeout(st, deadline - now)
-                .expect("pool lock"); // panic-ok: see `Shared::st`
-            st = guard;
-        }
-    }
-
-    /// Submits a job to worker `hint % workers`'s LIFO slot — producers
-    /// spreading a chunked batch round-robin keep each worker on its own
-    /// chunk run (cache-warm model state) while idle workers steal.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuttingDown`] once [`WorkerPool::shutdown`] has begun.
-    pub fn spawn_at(&self, hint: usize, job: Job) -> Result<(), ShuttingDown> {
-        let slot = hint % self.shared.slots.len();
-        let mut st = self.shared.st();
-        if st.shutdown {
-            return Err(ShuttingDown);
-        }
-        st.queued_local += 1;
-        self.shared.slot(slot).push(job);
-        drop(st);
-        // One waker suffices: whichever worker wakes reaches the job via
-        // its own slot, the injector, or the steal scan.
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until every submitted job has finished executing.
-    pub fn wait_idle(&self) {
-        let mut st = self.shared.st();
-        while !st.is_drained() {
-            // panic-ok: see `Shared::st` — the state lock cannot poison.
-            st = self.shared.progress.wait(st).expect("pool lock");
-        }
-    }
-
-    /// Begins shutdown **without joining**: new submissions are rejected
-    /// from this point on, while the workers keep draining every queued
-    /// and in-flight job. Idempotent; [`WorkerPool::shutdown`] (or drop)
-    /// later joins the workers.
-    pub fn begin_shutdown(&self) {
-        {
-            let mut st = self.shared.st();
-            if st.shutdown {
-                return;
-            }
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
+impl Drop for ServeEngine {
+    fn drop(&mut self) {
+        self.shared.st().shutdown = true;
         // The watchdog re-checks its exit condition on progress signals.
         self.shared.progress.notify_all();
-    }
-
-    /// Graceful shutdown: rejects new submissions, lets the workers drain
-    /// every queued and in-flight job, then joins them (and the watchdog,
-    /// if any). Called implicitly on drop. A worker the watchdog abandoned
-    /// is **not** joined — its thread was detached at respawn time.
-    pub fn shutdown(&mut self) {
-        self.begin_shutdown();
         let handles: Vec<JoinHandle<()>> = {
             let mut threads = self.shared.thread_table();
             threads.iter_mut().filter_map(Option::take).collect()
@@ -639,89 +469,61 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 fn worker_loop(shared: &Shared, me: usize, my_gen: u64) {
     let watch = &shared.watches[me];
-    loop {
-        let job = {
+    while let Some(Job { run, on_stalled }) = shared.source.next_job(&shared.health) {
+        {
             let mut st = shared.st();
-            loop {
-                // relaxed-ok: (audited, was SeqCst) every access to `gen`
-                // — this check, the post-job check, and the watchdog's
-                // bump — happens under the state lock, which already
-                // orders them; the fence bought nothing.
-                if watch.gen.load(Ordering::Relaxed) != my_gen {
-                    // Abandoned while idle (cannot happen today — the
-                    // watchdog only retires busy workers — but harmless
-                    // and future-proof).
-                    return;
-                }
-                if let Some(mut job) = shared.take_job(&mut st, me) {
-                    check_yield!("pool.worker.pickup");
-                    st.active += 1;
-                    // Heartbeat + stall handler are published before the
-                    // job runs, all under the state lock the watchdog
-                    // scans under.
-                    *watch.handler() = job.on_stalled.take();
-                    let now = shared.now_ms();
-                    // relaxed-ok: (audited, was SeqCst) only written and
-                    // read under the state lock, like `gen`.
-                    watch.busy_since_ms.store(now, Ordering::Relaxed);
-                    break job;
-                }
-                if st.shutdown {
-                    return;
-                }
-                // panic-ok: see `Shared::st` — the state lock cannot poison.
-                st = shared.work.wait(st).expect("pool lock");
-            }
-        };
-        // The job is run outside every lock; a panic is confined to the
-        // job (the engine layer has already arranged for the request's
-        // completion handle to be poisoned).
-        let panicked = catch_unwind(AssertUnwindSafe(job.run)).is_err();
+            check_yield!("pool.worker.pickup");
+            st.active += 1;
+            // Heartbeat + stall handler are published before the job
+            // runs, under the state lock the watchdog scans under.
+            *watch.handler() = Some(on_stalled);
+            let now = shared.now_ms();
+            // relaxed-ok: (audited, was SeqCst) `busy_since_ms` and `gen`
+            // are only written and read under the state lock, which
+            // already orders them.
+            watch.busy_since_ms.store(now, Ordering::Relaxed);
+        }
+        // The job runs outside every lock; a panic is confined to the job
+        // (which has already failed its request).
+        let panicked = catch_unwind(AssertUnwindSafe(run)).is_err();
         let mut st = shared.st();
         check_yield!("pool.worker.settle");
-        // relaxed-ok: under the state lock; see the pickup-loop note.
+        // relaxed-ok: under the state lock; see the pickup note.
         if watch.gen.load(Ordering::Relaxed) != my_gen {
             // The watchdog declared this worker stalled while the job ran:
-            // it already settled `active`/`jobs_run`, ran the stall
-            // handler, and handed the slot (heartbeat included) to a
-            // replacement. Exit without touching anything.
+            // it already settled the job, ran the stall handler, and
+            // handed the slot (heartbeat included) to a replacement. Exit
+            // without touching anything.
             return;
         }
-        // relaxed-ok: under the state lock; see the pickup-loop note.
+        // relaxed-ok: under the state lock; see the pickup note.
         watch.busy_since_ms.store(0, Ordering::Relaxed);
         *watch.handler() = None;
         if panicked {
             // relaxed-ok: monotone counter; stats reads need no ordering.
             shared.panics.fetch_add(1, Ordering::Relaxed);
-            shared.note_panic();
+            shared.health.note_panic();
         }
-        // relaxed-ok: monotone counter; drain waiters sync via the lock.
+        // relaxed-ok: monotone counter; stats reads need no ordering.
         shared.jobs_run.fetch_add(1, Ordering::Relaxed);
         st.active -= 1;
         drop(st);
-        // Every completion is progress: depth waiters re-check their
-        // threshold, idle waiters re-check the drain condition.
+        shared.source.job_settled();
         shared.progress.notify_all();
     }
 }
 
 /// The supervisor: scans heartbeats, abandons + respawns stalled workers,
-/// and exits once the pool is shut down and drained.
+/// and exits once the pool is shut down with no job running.
 fn watchdog_loop(shared: &Arc<Shared>, cfg: WatchdogConfig) {
     let stall_ms = cfg.stall_timeout.as_millis().max(1) as u64;
     loop {
-        let mut handlers: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+        let mut handlers: Vec<Thunk> = Vec::new();
         {
             let mut st = shared.st();
-            if st.shutdown && st.is_drained() {
+            if st.shutdown && st.active == 0 {
                 return;
             }
             let now = shared.now_ms();
@@ -746,9 +548,9 @@ fn watchdog_loop(shared: &Arc<Shared>, cfg: WatchdogConfig) {
                 shared.jobs_run.fetch_add(1, Ordering::Relaxed);
                 // relaxed-ok: monotone counters; see `worker_loop`.
                 shared.stalled.fetch_add(1, Ordering::Relaxed);
-                if let Some(h) = watch.handler().take() {
-                    handlers.push(h);
-                }
+                // panic-ok: a busy slot always parked its job's handler
+                // at pickup, and only this branch takes it.
+                handlers.push(watch.handler().take().expect("busy slot has a handler"));
                 // Respawn on the same slot; dropping the old handle
                 // detaches the wedged thread.
                 let replacement = spawn_worker(shared, i, next_gen);
@@ -771,8 +573,8 @@ fn watchdog_loop(shared: &Arc<Shared>, cfg: WatchdogConfig) {
         // which take handle locks of their own).
         for h in handlers {
             h();
+            shared.source.job_settled();
         }
-        shared.progress.notify_all();
     }
 }
 
@@ -795,163 +597,123 @@ mod tests {
         c.load(Ordering::SeqCst)
     }
 
+    /// A FIFO source: jobs pushed up front, `None` once closed and empty,
+    /// with `wait_idle` over the jobs handed out but not yet settled.
+    #[derive(Default)]
+    struct Fifo {
+        state: std::sync::Mutex<(VecDeque<Job>, usize, bool)>,
+        cv: std::sync::Condvar,
+        refused_degraded: AtomicUsize,
+    }
+
+    impl Fifo {
+        fn push(&self, job: Job) {
+            self.state.lock().unwrap().0.push_back(job);
+            self.cv.notify_all();
+        }
+
+        fn close(&self) {
+            self.state.lock().unwrap().2 = true;
+            self.cv.notify_all();
+        }
+
+        fn wait_idle(&self) {
+            let mut st = self.state.lock().unwrap();
+            while !st.0.is_empty() || st.1 > 0 {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+    }
+
+    impl JobSource for Fifo {
+        fn next_job(&self, health: &Health) -> Option<Job> {
+            let mut st = self.state.lock().unwrap();
+            loop {
+                if let Some(job) = st.0.pop_front() {
+                    if health.is_degraded() {
+                        bump(&self.refused_degraded);
+                        self.cv.notify_all();
+                        continue;
+                    }
+                    st.1 += 1;
+                    return Some(job);
+                }
+                if st.2 {
+                    return None;
+                }
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+
+        fn job_settled(&self) {
+            self.state.lock().unwrap().1 -= 1;
+            self.cv.notify_all();
+        }
+    }
+
+    fn pool(
+        workers: usize,
+        watchdog: Option<WatchdogConfig>,
+        panic_budget: Option<PanicBudget>,
+    ) -> (ServeEngine, Arc<Fifo>) {
+        let source = Arc::new(Fifo::default());
+        let config = EngineConfig {
+            workers,
+            chunk_samples: 64,
+            watchdog,
+            panic_budget,
+        };
+        (ServeEngine::new(config, source.clone()), source)
+    }
+
+    fn job(run: impl FnOnce() + Send + 'static) -> Job {
+        Job::new(run, || {})
+    }
+
     fn counting_job(counter: &Arc<AtomicUsize>) -> Job {
         let counter = Arc::clone(counter);
-        Job::new(move || {
+        job(move || {
             std::thread::sleep(Duration::from_micros(200));
             bump(&counter);
         })
     }
 
     #[test]
-    fn executes_injected_and_targeted_jobs() {
-        let pool = WorkerPool::new(3);
+    fn workers_drain_the_source_then_exit() {
+        let (pool, source) = pool(3, None, None);
         let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..40 {
-            if i % 2 == 0 {
-                pool.spawn(counting_job(&counter)).unwrap();
-            } else {
-                pool.spawn_at(i, counting_job(&counter)).unwrap();
-            }
+        for _ in 0..40 {
+            source.push(counting_job(&counter));
         }
-        pool.wait_idle();
+        source.wait_idle();
         assert_eq!(get(&counter), 40);
         assert_eq!(pool.stats().jobs_run, 40);
         assert_eq!(pool.stats().panics, 0);
-    }
-
-    #[test]
-    fn shutdown_drains_queued_jobs() {
-        let mut pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..64 {
-            pool.spawn_at(i, counting_job(&counter)).unwrap();
-        }
-        // Shut down immediately: every queued job must still run.
-        pool.shutdown();
-        assert_eq!(get(&counter), 64);
-        // Submissions after shutdown are rejected.
-        assert!(pool.spawn(counting_job(&counter)).is_err());
-        assert!(pool.spawn_at(0, counting_job(&counter)).is_err());
-        assert_eq!(get(&counter), 64);
+        // Closed and drained: every worker exits and the join returns.
+        source.push(counting_job(&counter));
+        source.close();
+        assert_eq!(pool.workers(), 3);
+        drop(pool);
+        assert_eq!(get(&counter), 41);
     }
 
     #[test]
     fn panicking_job_leaves_pool_serviceable() {
-        let pool = WorkerPool::new(1);
-        pool.spawn(Job::new(|| panic!("job blows up"))).unwrap();
+        let (pool, source) = pool(1, None, None);
+        source.push(job(|| panic!("job blows up")));
         let counter = Arc::new(AtomicUsize::new(0));
-        pool.spawn(counting_job(&counter)).unwrap();
-        pool.wait_idle();
+        source.push(counting_job(&counter));
+        source.wait_idle();
         assert_eq!(get(&counter), 1);
         let stats = pool.stats();
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.jobs_run, 2);
-    }
-
-    #[test]
-    fn stealing_moves_work_off_a_busy_slot() {
-        // All jobs targeted at slot 0; with 4 workers the others must
-        // steal for the batch to finish promptly.
-        let pool = WorkerPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            pool.spawn_at(0, counting_job(&counter)).unwrap();
-        }
-        pool.wait_idle();
-        assert_eq!(get(&counter), 32);
-    }
-
-    #[test]
-    fn wait_idle_on_empty_pool_returns() {
-        let pool = WorkerPool::new(2);
-        pool.wait_idle();
-        assert_eq!(pool.stats().jobs_run, 0);
-    }
-
-    #[test]
-    fn spawn_batch_runs_all_or_nothing() {
-        let mut pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<(usize, Job)> = (0..10).map(|i| (i, counting_job(&counter))).collect();
-        pool.spawn_batch(jobs).unwrap();
-        pool.wait_idle();
-        assert_eq!(get(&counter), 10);
-        pool.shutdown();
-        // After shutdown: the whole batch is rejected, nothing runs.
-        let jobs: Vec<(usize, Job)> = (0..10).map(|i| (i, counting_job(&counter))).collect();
-        assert!(pool.spawn_batch(jobs).is_err());
-        assert_eq!(get(&counter), 10);
-        assert_eq!(pool.stats().jobs_run, 10);
-    }
-
-    #[test]
-    fn queue_depth_tracks_backlog_and_drains_to_zero() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.queue_depth(), 0);
-        // A gate job holds the single worker busy while we pile up backlog.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.spawn(Job::new(move || {
-                let (open, cv) = &*gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            }))
-            .unwrap();
-        }
-        let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..5 {
-            pool.spawn_at(i, counting_job(&counter)).unwrap();
-        }
-        // Gate job active (or queued) + 5 queued behind it.
-        assert!(pool.queue_depth() >= 5);
-        {
-            let (open, cv) = &*gate;
-            *open.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        assert_eq!(pool.wait_depth_below(1), 0);
-        assert_eq!(pool.queue_depth(), 0);
-        assert_eq!(get(&counter), 5);
-    }
-
-    #[test]
-    fn wait_depth_below_for_times_out_while_blocked() {
-        let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.spawn(Job::new(move || {
-                let (open, cv) = &*gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            }))
-            .unwrap();
-        }
-        // One job active forever-ish: depth never drops below 1.
-        assert_eq!(
-            pool.wait_depth_below_for(1, Duration::from_millis(50)),
-            None
-        );
-        {
-            let (open, cv) = &*gate;
-            *open.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        assert_eq!(
-            pool.wait_depth_below_for(1, Duration::from_secs(5)),
-            Some(0)
-        );
+        source.close();
     }
 
     #[test]
     fn watchdog_respawns_stalled_worker_and_runs_stall_handler() {
-        let pool = WorkerPool::with_supervision(
+        let (pool, source) = pool(
             1,
             Some(WatchdogConfig {
                 stall_timeout: Duration::from_millis(50),
@@ -962,36 +724,32 @@ mod tests {
         let stalled_seen = Arc::new(AtomicUsize::new(0));
         {
             let stalled_seen = Arc::clone(&stalled_seen);
-            pool.spawn(Job::with_stall_handler(
+            source.push(Job::new(
                 // Wedge the only worker well past the stall threshold.
                 || std::thread::sleep(Duration::from_millis(400)),
-                move || {
-                    bump(&stalled_seen);
-                },
-            ))
-            .unwrap();
+                move || bump(&stalled_seen),
+            ));
         }
         // A job queued behind the wedge: the respawned worker must run it.
         let counter = Arc::new(AtomicUsize::new(0));
-        pool.spawn(counting_job(&counter)).unwrap();
-        pool.wait_idle();
+        source.push(counting_job(&counter));
+        // Both jobs settle: the wedged one through the watchdog.
+        source.wait_idle();
         assert_eq!(get(&counter), 1);
         assert_eq!(get(&stalled_seen), 1);
         let stats = pool.stats();
         assert_eq!(stats.stalled, 1);
         assert_eq!(stats.respawned, 1);
-        // Accounting intact: both jobs counted exactly once (the stalled
-        // one by the watchdog), even though the wedged thread finishes
-        // later and exits silently.
         assert_eq!(stats.jobs_run, 2);
         // Let the wedged thread finish and confirm no double count.
         std::thread::sleep(Duration::from_millis(450));
         assert_eq!(pool.stats().jobs_run, 2);
+        source.close();
     }
 
     #[test]
     fn panic_budget_flips_degraded() {
-        let pool = WorkerPool::with_supervision(
+        let (pool, source) = pool(
             1,
             None,
             Some(PanicBudget {
@@ -1000,15 +758,25 @@ mod tests {
             }),
         );
         for _ in 0..2 {
-            pool.spawn(Job::new(|| panic!("boom"))).unwrap();
+            source.push(job(|| panic!("boom")));
         }
-        pool.wait_idle();
+        source.wait_idle();
         assert!(!pool.is_degraded(), "within budget");
-        pool.spawn(Job::new(|| panic!("boom"))).unwrap();
-        pool.wait_idle();
+        source.push(job(|| panic!("boom")));
+        source.wait_idle();
         assert!(pool.is_degraded(), "third panic exceeds max_panics = 2");
         assert!(pool.stats().degraded);
+        // The source is asked with the live health: it refuses new work.
+        let counter = Arc::new(AtomicUsize::new(0));
+        source.push(counting_job(&counter));
+        source.wait_idle();
+        assert_eq!(get(&counter), 0);
+        assert_eq!(get(&source.refused_degraded), 1);
         pool.reset_degraded();
         assert!(!pool.is_degraded());
+        source.push(counting_job(&counter));
+        source.wait_idle();
+        assert_eq!(get(&counter), 1);
+        source.close();
     }
 }

@@ -206,7 +206,8 @@ pub struct Timeline {
     pub samples: u64,
     /// Chunks that finished (success or failure).
     pub chunks_done: u32,
-    /// Chunks the dispatcher split the request into (0 = undispatched).
+    /// Chunks the request was split into when a worker started it
+    /// (0 = never started).
     pub chunks_total: u32,
     /// How the request resolved.
     pub terminal: TerminalKind,
@@ -768,7 +769,8 @@ impl TraceCtx {
         i.enqueued_ns.store(i.recorder.stamp(), Ordering::Relaxed);
     }
 
-    /// Stamps the dispatcher pick-up stage and records the chunk fan-out.
+    /// Stamps the dispatch stage — a worker took the request out of the
+    /// ring — and records the chunk fan-out.
     pub fn dispatched(&self, chunks_total: u64) {
         let i = &self.inner;
         // relaxed-ok: see `enqueued`.

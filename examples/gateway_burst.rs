@@ -68,7 +68,7 @@ fn main() {
 
     // The burst: 2× ring capacity, round-robin across the three formats,
     // landing while dispatch is paused so the ring genuinely fills (on an
-    // idle machine the dispatcher would otherwise keep up with us).
+    // idle machine the workers would otherwise keep up with us).
     let request: Vec<Vec<f32>> = split
         .test
         .features

@@ -2,7 +2,7 @@
 //!
 //! Trains one float MLP on Iris, quantizes it across the three format
 //! families and all three kernel bands (n ≤ 8 product table, 9–16 batched
-//! fused, > 16 scalar), registers everything in one `dp_serve` engine,
+//! fused, > 16 scalar), registers everything in one `dp_gateway` gateway,
 //! prints the row kernel each model's layers selected plus the tile
 //! kernel the serving chunk width promotes it to, and verifies a served
 //! batch stays bit-identical to per-sample `forward_bits` on every model.
@@ -12,9 +12,9 @@
 use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_fixed::FixedFormat;
+use dp_gateway::{Gateway, OverloadPolicy};
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
-use dp_serve::{EngineConfig, ServeEngine};
 
 fn main() {
     let split = dp_datasets::iris::load(17).split(50, 17).normalized();
@@ -41,10 +41,10 @@ fn main() {
     ];
 
     let chunk_samples = 32;
-    let engine = ServeEngine::new(EngineConfig {
-        chunk_samples,
-        ..EngineConfig::default()
-    });
+    let gateway = Gateway::builder()
+        .chunk_samples(chunk_samples)
+        .policy(OverloadPolicy::Block)
+        .build();
     println!("kernel selection per registered model (layer dims 4-12-3):\n");
     println!(
         "{:<22} {:>6}  {:<34} tile kernel (chunk = {chunk_samples})",
@@ -57,7 +57,7 @@ fn main() {
         let tiles = q
             .layer_tile_kernels(chunk_samples)
             .expect("low-precision format");
-        let key = engine
+        let key = gateway
             .registry()
             .register("iris", q.clone())
             .expect("all sweep formats have EMAC datapaths");
@@ -77,9 +77,9 @@ fn main() {
     // kernels are a speed story, never a numerics story.
     let batch: Vec<Vec<f32>> = split.test.features.iter().take(40).cloned().collect();
     for (key, q) in &models {
-        let served = engine
+        let served = gateway
             .submit_forward(key, batch.clone())
-            .expect("registered model")
+            .expect_admitted()
             .wait()
             .expect("serving succeeded");
         let reference: Vec<Vec<u32>> = batch.iter().map(|x| q.forward_bits(x)).collect();

@@ -146,7 +146,7 @@ fn deadline(addr: &str) {
     let fmt = formats()[0].to_string();
     // A backlog of fat no-deadline requests, then a 1 ms-deadline straggler
     // pipelined behind them: its queue wait is the backlog's service time,
-    // so the dispatcher must expire it (never serve it late).
+    // so the popping worker must expire it (never serve it late).
     let fat: Vec<Vec<f32>> = split
         .test
         .features

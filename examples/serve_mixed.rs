@@ -1,21 +1,22 @@
-//! One persistent serving engine, three numeric formats, interleaved
+//! One persistent serving stack, three numeric formats, interleaved
 //! traffic.
 //!
 //! Trains one float MLP on Iris, quantizes it into the paper's three
 //! 8-bit families (posit, minifloat, fixed), registers all of them in a
-//! single `dp_serve` engine, then drives an interleaved request stream —
-//! batches and single samples, round-robin across formats — through the
-//! shared worker pool. Every response is checked bit-for-bit against the
-//! per-sample `forward_bits` reference.
+//! single `dp_gateway` gateway, then drives an interleaved request stream
+//! — batches and single samples, round-robin across formats — through the
+//! shared worker pool with blocking (`OverloadPolicy::Block`) submission.
+//! Every response is checked bit-for-bit against the per-sample
+//! `forward_bits` reference.
 //!
 //! Run with `cargo run --release --example serve_mixed`.
 
 use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_fixed::FixedFormat;
+use dp_gateway::{Gateway, OverloadPolicy};
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
-use dp_serve::{EngineConfig, ServeEngine};
 use std::time::Instant;
 
 fn main() {
@@ -32,13 +33,13 @@ fn main() {
         },
     );
 
-    let engine = ServeEngine::new(EngineConfig {
-        chunk_samples: 32,
-        ..EngineConfig::default()
-    });
+    let gateway = Gateway::builder()
+        .chunk_samples(32)
+        .policy(OverloadPolicy::Block)
+        .build();
     println!(
-        "engine: {} worker(s), chunk = 32 samples\n",
-        engine.workers()
+        "gateway: {} worker(s), chunk = 32 samples\n",
+        gateway.engine().workers()
     );
 
     let formats = [
@@ -50,7 +51,7 @@ fn main() {
         .into_iter()
         .map(|fmt| {
             let q = QuantizedMlp::quantize(&mlp, fmt);
-            let key = engine
+            let key = gateway
                 .registry()
                 .register("iris", q.clone())
                 .expect("paper formats have EMAC datapaths");
@@ -58,7 +59,7 @@ fn main() {
         })
         .collect();
     println!("registry:");
-    for key in engine.registry().keys() {
+    for key in gateway.registry().keys() {
         println!("  {key}");
     }
 
@@ -82,15 +83,15 @@ fn main() {
     let batches: Vec<_> = (0..30)
         .map(|i| {
             let (key, _) = &models[i % models.len()];
-            engine.submit_forward(key, batch.clone()).expect("admitted")
+            gateway.submit_forward(key, batch.clone()).expect_admitted()
         })
         .collect();
     let singles: Vec<_> = (0..30)
         .map(|i| {
             let (key, _) = &models[i % models.len()];
-            engine
-                .submit_classify_one(key, batch[i].clone())
-                .expect("admitted")
+            gateway
+                .submit_classify(key, vec![batch[i].clone()])
+                .expect_admitted()
         })
         .collect();
 
@@ -109,12 +110,12 @@ fn main() {
         let (_, q) = &models[i % models.len()];
         assert_eq!(
             pending.wait().expect("request completed"),
-            q.infer(&batch[i])
+            vec![q.infer(&batch[i])]
         );
         samples += 1;
     }
     let elapsed = t.elapsed();
-    let stats = engine.stats();
+    let stats = gateway.engine().stats();
     println!(
         "\nserved {samples} samples across 60 mixed-format requests in {:.1} ms \
          ({:.0} samples/s)",
@@ -122,15 +123,25 @@ fn main() {
         samples as f64 / elapsed.as_secs_f64()
     );
     println!(
-        "pool: {} jobs on {} worker(s), {} panic(s)",
+        "pool: {} chunk jobs on {} worker(s), {} panic(s)",
         stats.jobs_run, stats.workers, stats.panics
     );
     println!("every response was bit-identical to per-sample forward_bits ✓");
 
     for (key, _) in &models {
+        let preds = gateway
+            .submit_classify(key, split.test.features.clone())
+            .expect_admitted()
+            .wait()
+            .expect("served");
+        let correct = preds
+            .iter()
+            .zip(&split.test.labels)
+            .filter(|(p, y)| p == y)
+            .count();
         println!(
             "{key}: test accuracy {:.1}%",
-            100.0 * engine.accuracy(key, &split.test).expect("served")
+            100.0 * correct as f64 / split.test.len() as f64
         );
     }
 }
