@@ -564,4 +564,38 @@ mod tests {
             Some((Settled::Completed, None))
         );
     }
+
+    #[test]
+    fn a_cancelled_chunk_settles_the_request_as_cancelled() {
+        let (handle, cell) = GatewayHandle::<u32>::pending();
+        cell.dispatched(2);
+        assert_eq!(cell.settle_chunk(0, Ok(vec![1]), true), None);
+        let (settled, resolution) = cell
+            .settle_chunk(1, Err(JobError::Cancelled), true)
+            .unwrap();
+        assert_eq!(settled, Settled::Cancelled);
+        assert_eq!(resolution, Some(Err(GatewayError::Cancelled)));
+        cell.resolve(resolution.unwrap());
+        assert_eq!(handle.wait(), Err(GatewayError::Cancelled));
+    }
+
+    #[test]
+    fn wait_blocks_until_the_last_chunk_settles() {
+        let (handle, cell) = GatewayHandle::<u32>::pending();
+        cell.dispatched(2);
+        let handle = Arc::new(handle);
+        let waiter = {
+            let handle = Arc::clone(&handle);
+            std::thread::spawn(move || handle.wait())
+        };
+        assert_eq!(cell.settle_chunk(1, Ok(vec![2]), true), None);
+        std::thread::sleep(Duration::from_millis(10));
+        // One chunk settled, one outstanding: still blocked.
+        assert!(!waiter.is_finished());
+        assert_eq!(handle.stage(), RequestStage::Dispatched);
+        let (_, resolution) = cell.settle_chunk(0, Ok(vec![1]), true).unwrap();
+        cell.resolve(resolution.unwrap());
+        assert_eq!(waiter.join().unwrap(), Ok(vec![1, 2]));
+        assert_eq!(handle.stage(), RequestStage::Done);
+    }
 }

@@ -219,3 +219,128 @@ pub fn eval_chunk(model: &QuantizedMlp, xs: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .expect("admission validated the format"); // panic-ok: admission screens the f32 baseline; registration every other format without an EMAC datapath
     model.forward_batch_bits_with(&mut emacs, xs)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deep_positron::{Mlp, NumericFormat};
+    use dp_posit::PositFormat;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
+
+    type Settlement = (usize, Result<Vec<usize>, JobError>, bool);
+
+    /// A request whose chunk `i` evaluates to `[i]` (or panics), recording
+    /// every evaluation and settlement.
+    #[derive(Default)]
+    struct Probe {
+        cancel: CancelToken,
+        panics: bool,
+        evals: AtomicUsize,
+        settled: Mutex<Vec<Settlement>>,
+    }
+
+    impl ChunkRequest for Probe {
+        type Out = usize;
+
+        fn scope(&self) -> &str {
+            "probe"
+        }
+
+        fn cancel_token(&self) -> &CancelToken {
+            &self.cancel
+        }
+
+        fn eval(&self, index: usize) -> Vec<usize> {
+            // seqcst-ok: test tally read after the job returns.
+            self.evals.fetch_add(1, Ordering::SeqCst);
+            assert!(!self.panics, "chunk {index} blows up");
+            vec![index]
+        }
+
+        fn settle(&self, index: usize, result: Result<Vec<usize>, JobError>, delivered: bool) {
+            self.settled
+                .lock()
+                .unwrap()
+                .push((index, result, delivered));
+        }
+    }
+
+    impl Probe {
+        fn evals(&self) -> usize {
+            // seqcst-ok: see `eval`.
+            self.evals.load(Ordering::SeqCst)
+        }
+
+        fn settled(&self) -> Vec<Settlement> {
+            self.settled.lock().unwrap().clone()
+        }
+    }
+
+    #[test]
+    fn completed_chunk_settles_once_and_a_late_stall_handler_is_a_no_op() {
+        let req = Arc::new(Probe::default());
+        let Job { run, on_stalled } = chunk_job(Arc::clone(&req), 3);
+        run();
+        on_stalled();
+        assert_eq!(req.evals(), 1);
+        assert_eq!(req.settled(), vec![(3, Ok(vec![3]), true)]);
+    }
+
+    #[test]
+    fn stalled_chunk_settles_once_and_is_never_evaluated_afterwards() {
+        // The watchdog fails the chunk first; when the abandoned worker
+        // finally gets to run it, the job must neither evaluate nor
+        // settle it again.
+        let req = Arc::new(Probe::default());
+        let Job { run, on_stalled } = chunk_job(Arc::clone(&req), 0);
+        on_stalled();
+        run();
+        assert_eq!(req.evals(), 0);
+        assert_eq!(req.settled(), vec![(0, Err(JobError::Stalled), true)]);
+    }
+
+    #[test]
+    fn cancelled_request_settles_its_chunks_without_evaluating_them() {
+        let req = Arc::new(Probe::default());
+        req.cancel.cancel();
+        for index in 0..2 {
+            (chunk_job(Arc::clone(&req), index).run)();
+        }
+        assert_eq!(req.evals(), 0);
+        assert_eq!(
+            req.settled(),
+            vec![
+                (0, Err(JobError::Cancelled), true),
+                (1, Err(JobError::Cancelled), true)
+            ]
+        );
+    }
+
+    #[test]
+    fn panicking_chunk_settles_as_panicked_then_reraises_for_the_pool() {
+        let req = Arc::new(Probe {
+            panics: true,
+            ..Probe::default()
+        });
+        let Job { run, on_stalled } = chunk_job(Arc::clone(&req), 1);
+        let unwound = catch_unwind(AssertUnwindSafe(run));
+        assert!(unwound.is_err(), "the pool must see the panic");
+        on_stalled();
+        assert_eq!(req.settled(), vec![(1, Err(JobError::Panicked), true)]);
+    }
+
+    #[test]
+    fn eval_chunk_is_bit_identical_to_forward_bits() {
+        let mlp = Mlp::new(&[4, 8, 3], 11);
+        let format = NumericFormat::Posit(PositFormat::new(8, 0).unwrap());
+        let model = QuantizedMlp::quantize(&mlp, format);
+        let xs: Vec<Vec<f32>> = (0..13)
+            .map(|i| (0..4).map(|j| (i * 4 + j) as f32 / 26.0 - 1.0).collect())
+            .collect();
+        let direct: Vec<Vec<u32>> = xs.iter().map(|x| model.forward_bits(x)).collect();
+        assert_eq!(eval_chunk(&model, &xs), direct);
+        assert_eq!(eval_chunk(&model, &xs[..1]), direct[..1]);
+        assert!(eval_chunk(&model, &[]).is_empty());
+    }
+}

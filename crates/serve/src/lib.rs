@@ -25,7 +25,22 @@
 //!   (feature `fault-inject`; inert inlined stubs otherwise).
 //!
 //! Requests enter through `dp_gateway::Gateway`, whose ring is the
-//! engine's job source.
+//! engine's job source. Every chunk they split into is answered by
+//! [`eval_chunk`]:
+//!
+//! ```
+//! use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
+//! use dp_posit::PositFormat;
+//!
+//! let format = NumericFormat::Posit(PositFormat::new(8, 0)?);
+//! let model = QuantizedMlp::quantize(&Mlp::new(&[4, 8, 3], 7), format);
+//! let chunk = vec![vec![0.1, 0.2, 0.3, 0.4], vec![-0.5, 0.0, 0.5, 1.0]];
+//! let bits = dp_serve::eval_chunk(&model, &chunk);
+//! for (x, out) in chunk.iter().zip(&bits) {
+//!     assert_eq!(*out, model.forward_bits(x));
+//! }
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 pub(crate) mod check;
 pub(crate) mod claim;

@@ -44,15 +44,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-type Thunk = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Thunk = Box<dyn FnOnce() + Send + 'static>;
 
 /// A unit of work for the pool: the job closure plus the stall handler
 /// the watchdog runs instead if the job wedges its worker (see
 /// [`WatchdogConfig`]). The handler's contract is to fail **only this
 /// job's** request.
 pub struct Job {
-    run: Thunk,
-    on_stalled: Thunk,
+    pub(crate) run: Thunk,
+    pub(crate) on_stalled: Thunk,
 }
 
 impl Job {
@@ -695,6 +695,46 @@ mod tests {
         assert_eq!(pool.workers(), 3);
         drop(pool);
         assert_eq!(get(&counter), 41);
+    }
+
+    #[test]
+    fn config_clamps_zero_workers_and_zero_chunk_samples_to_one() {
+        let source = Arc::new(Fifo::default());
+        let config = EngineConfig {
+            workers: 0,
+            chunk_samples: 0,
+            watchdog: None,
+            panic_budget: None,
+        };
+        let pool = ServeEngine::new(config, source.clone());
+        assert_eq!(pool.workers(), 1);
+        assert_eq!(pool.stats().workers, 1);
+        assert_eq!(pool.chunk_samples(), 1);
+        let counter = Arc::new(AtomicUsize::new(0));
+        source.push(counting_job(&counter));
+        source.wait_idle();
+        assert_eq!(get(&counter), 1);
+        source.close();
+    }
+
+    #[test]
+    fn worker_busy_ms_reports_the_running_job_then_idles() {
+        let (pool, source) = pool(2, None, None);
+        assert_eq!(pool.worker_busy_ms(), vec![0, 0]);
+        let (started_tx, started_rx) = std::sync::mpsc::sync_channel(1);
+        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        source.push(job(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        }));
+        started_rx.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let busy = pool.worker_busy_ms();
+        assert_eq!(busy.iter().filter(|&&ms| ms > 0).count(), 1, "{busy:?}");
+        release_tx.send(()).unwrap();
+        source.wait_idle();
+        assert_eq!(pool.worker_busy_ms(), vec![0, 0]);
+        source.close();
     }
 
     #[test]
