@@ -115,7 +115,19 @@ pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
                 format!("expected `layer {li}`"),
             ));
         }
-        let mut weights = Vec::with_capacity(fan_in * fan_out);
+        // Each weight takes at least one byte of the rows that follow, so a
+        // declared layer larger than the rest of the input is rejected
+        // before anything is reserved for it.
+        let entries = fan_in
+            .checked_mul(fan_out)
+            .filter(|&e| e <= rest_len(text, header))
+            .ok_or_else(|| {
+                ParseModelError::new(
+                    n + 1,
+                    format!("layer {li}: {fan_in} x {fan_out} weights cannot fit the input"),
+                )
+            })?;
+        let mut weights = Vec::with_capacity(entries);
         for _ in 0..fan_out {
             let (n, wline) = lines
                 .next()
@@ -182,6 +194,12 @@ fn parse_format(line: &str) -> Result<NumericFormat, String> {
             .map_err(|e| e.to_string()),
         _ => Err(format!("unknown format tag `{rest}`")),
     }
+}
+
+/// Bytes of `text` after `line`, a line borrowed from it.
+fn rest_len(text: &str, line: &str) -> usize {
+    let end = line.as_ptr() as usize - text.as_ptr() as usize + line.len();
+    text.len() - end
 }
 
 fn parse_hex_row(line: &str, prefix: &str, expect: usize) -> Result<Vec<u32>, String> {
@@ -263,6 +281,28 @@ mod tests {
         // Bad hex.
         let text = "deep-positron-model v1\nformat f32\ndims 1 1\nlayer 0\nw zz\nb 1\n";
         assert!(from_str(text).is_err());
+    }
+
+    #[test]
+    fn oversized_layer_declarations_are_rejected_before_reserving() {
+        // A 73-byte file declaring 10^16 weights is a located parse error,
+        // not an allocation that aborts the process.
+        let text = "deep-positron-model v1\nformat posit 8 0\ndims 100000000000 100000\nlayer 0\n";
+        let e = from_str(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.to_string().contains("cannot fit"), "{e}");
+        // A weight count that overflows usize is the same error.
+        let text = format!(
+            "deep-positron-model v1\nformat f32\ndims {} 2\nlayer 0\n",
+            usize::MAX
+        );
+        assert!(from_str(&text)
+            .unwrap_err()
+            .to_string()
+            .contains("cannot fit"));
+        // A layer that fits its input still parses.
+        let text = "deep-positron-model v1\nformat f32\ndims 2 1\nlayer 0\nw 1 2\nb 3\n";
+        assert_eq!(from_str(text).unwrap().layers[0].fan_in(), 2);
     }
 
     #[test]

@@ -2,28 +2,56 @@
 
 use crate::acc::Accum;
 use crate::ceil_log2;
-use crate::kernel::{I128Lanes, PRODUCT_TILE_BLOCK, TILE_COL_GROUP};
+use crate::kernel::{self, Job, Operands};
 use crate::unit::Emac;
 use crate::MacKernel;
 use dp_minifloat::lut::{DecodeLut, EmacDirect, EmacEntry, EmacLut, ProductEntry, ProductLut};
 use dp_minifloat::{decode, encode, FloatClass, FloatFormat};
 
-/// Where fused EMAC operands come from on the fast path: the per-pattern
-/// table (`n ≤ 12`) or the computed bit-field extraction (13–16 bits).
-/// Both produce identical [`EmacEntry`] words.
-#[derive(Debug, Clone, Copy)]
-enum FastOperands {
-    Lut(&'static EmacLut),
-    Direct(EmacDirect),
-}
+/// The float family's kernel operands: an entry lookup (the per-pattern
+/// table or the computed bit fields) and `2·wf`, the two fraction widths
+/// the biased scales count. A product lands at `bw + ba − 2·wf`, which is
+/// negative for subnormal products — the significand product then carries
+/// at least that many trailing zeros, so the right shift is exact. On the
+/// wide window the trailing zeros are normalized away first, like the
+/// scalar datapath does.
+#[derive(Clone, Copy)]
+struct FloatOperands<E>(E, i32);
 
-impl FastOperands {
-    #[inline]
-    fn entry(self, bits: u32) -> EmacEntry {
-        match self {
-            FastOperands::Lut(t) => t.entry(bits),
-            FastOperands::Direct(d) => d.entry(bits),
+impl<E: Fn(u32) -> EmacEntry + Copy> Operands for FloatOperands<E> {
+    type Product = ProductEntry;
+    const SPECIAL: u64 = EmacEntry::SPECIAL_BIT;
+
+    #[inline(always)]
+    fn product_word(p: ProductEntry) -> u32 {
+        p.0
+    }
+
+    #[inline(always)]
+    fn entry(self, bits: u32) -> u64 {
+        (self.0)(bits).0
+    }
+
+    #[inline(always)]
+    fn term(self, prod: u64, scales: u32) -> u128 {
+        let net = scales as i32 - self.1;
+        debug_assert!(
+            prod == 0 || net >= 0 || prod.trailing_zeros() >= (-net) as u32,
+            "float products are multiples of min_sub²"
+        );
+        if net >= 0 {
+            (prod as u128) << net
+        } else {
+            (prod as u128) >> -net
         }
+    }
+
+    #[inline(always)]
+    fn wide_term(self, prod: u64, scales: u32) -> (u128, usize) {
+        let tz = prod.trailing_zeros();
+        let shift = scales as i32 + tz as i32 - self.1;
+        debug_assert!(shift >= 0, "float products are multiples of min_sub²");
+        ((prod >> tz) as u128, shift as usize)
     }
 }
 
@@ -70,13 +98,16 @@ pub struct FloatEmac {
     acc: Accum,
     /// Decode table for the format, when one exists (`n ≤ 12`).
     lut: Option<&'static DecodeLut>,
-    /// Fused decode + front-end operands driving the one-lookup MAC loop
-    /// (`n ≤ 12`: per-pattern table; 13–16: computed bit-field operands).
-    fast: Option<FastOperands>,
+    /// Fused decode + front-end operands for `n ≤ 12` formats.
+    emac: Option<&'static EmacLut>,
+    /// Computed fused operands for 13–16-bit formats.
+    direct: Option<EmacDirect>,
     /// Finished-product table for `n ≤ 8` formats: decode, multiply and
     /// underflow normalization collapse into one `2^(2n)`-entry lookup
     /// ([`MacKernel::ProductTable`] when the accumulator is an `i128`).
     product: Option<&'static ProductLut>,
+    /// The fastest kernel this unit may select ([`FloatEmac::with_kernel_cap`]).
+    cap: MacKernel,
     /// Bit index of weight 2^0: products are multiples of min_subnormal².
     offset: i32,
     count: u64,
@@ -85,7 +116,7 @@ pub struct FloatEmac {
     /// across [`Emac::dot_tile`] calls so a tile sweep over a layer does
     /// not allocate per weight row. Never semantic: cleared and refilled
     /// on each gather-tile call.
-    gather: Vec<EmacEntry>,
+    gather: Vec<u64>,
 }
 
 impl FloatEmac {
@@ -95,17 +126,16 @@ impl FloatEmac {
     /// sweep does; ≤8-bit ones additionally get the decode LUT).
     pub fn new(fmt: FloatFormat, capacity: u64) -> Self {
         let capacity = capacity.max(1);
-        let fast = dp_minifloat::lut::emac_cached(fmt)
-            .map(FastOperands::Lut)
-            .or_else(|| EmacDirect::build(fmt).map(FastOperands::Direct));
-        Self::build(
+        let mut unit = Self::build(
             fmt,
             capacity,
-            dp_minifloat::lut::cached(fmt),
-            fast,
-            dp_minifloat::lut::product_cached(fmt),
             Accum::new(Self::accumulator_width_for(fmt, capacity)),
-        )
+        );
+        unit.lut = dp_minifloat::lut::cached(fmt);
+        unit.emac = dp_minifloat::lut::emac_cached(fmt);
+        unit.direct = EmacDirect::build(fmt);
+        unit.product = dp_minifloat::lut::product_cached(fmt);
+        unit
     }
 
     /// [`FloatEmac::new`] in `Result` form, for uniformity with the posit
@@ -128,9 +158,6 @@ impl FloatEmac {
         Self::build(
             fmt,
             capacity,
-            None,
-            None,
-            None,
             Accum::new_wide(Self::accumulator_width_for(fmt, capacity)),
         )
     }
@@ -139,23 +166,12 @@ impl FloatEmac {
     /// knob for comparing kernels on one format; see
     /// [`crate::PositEmac::with_kernel_cap`] for the cap semantics.
     pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
-        }
-        if cap < MacKernel::BatchedFused {
-            self.fast = None;
-        }
+        self.cap = cap;
         self
     }
 
-    fn build(
-        fmt: FloatFormat,
-        capacity: u64,
-        lut: Option<&'static DecodeLut>,
-        fast: Option<FastOperands>,
-        product: Option<&'static ProductLut>,
-        acc: Accum,
-    ) -> Self {
+    /// A unit with no tables: the reference datapath on `acc`.
+    fn build(fmt: FloatFormat, capacity: u64, acc: Accum) -> Self {
         // Smallest product bit: (2^(min_normal_scale - wf))² ; the offset
         // makes that land at register bit 0.
         let offset = 2 * (fmt.min_normal_scale() - fmt.wf() as i32);
@@ -163,9 +179,11 @@ impl FloatEmac {
             fmt,
             capacity,
             acc,
-            lut,
-            fast,
-            product,
+            lut: None,
+            emac: None,
+            direct: None,
+            product: None,
+            cap: MacKernel::ProductTable,
             offset: -offset,
             count: 0,
             poisoned: false,
@@ -176,7 +194,7 @@ impl FloatEmac {
     /// True when this unit runs the fused operands + native (`i128` or
     /// two-word 256-bit) accumulator fast path.
     pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some() && self.acc.is_native()
+        self.kernel() != MacKernel::Scalar
     }
 
     /// Decode via the table when present, bit fields otherwise.
@@ -207,45 +225,9 @@ impl FloatEmac {
             .add_shifted_u128((sig >> tz) as u128, pos as usize, sign);
     }
 
-    /// The [`Emac::mac`] datapath without the `macs_done` bookkeeping —
-    /// shared by the scalar entry point and [`Emac::dot_slice`]'s scalar
-    /// kernel (which advances the counter once per slice).
-    #[inline]
-    fn mac_uncounted(&mut self, weight: u32, activation: u32) {
-        // Fused fast path: integer significand product, trailing zeros
-        // absorbing subnormal underflow, one shifted native add.
-        // Bit-identical to the datapath below (fast_path_equivalence).
-        if let Some(t) = self.fast {
-            let ew = t.entry(weight);
-            let ea = t.entry(activation);
-            if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                self.poisoned = true;
-                return;
-            }
-            let prod = ew.field() * ea.field(); // < 2^(2wf+2) <= 2^30
-            if prod == 0 {
-                return;
-            }
-            let tz = prod.trailing_zeros() as i32;
-            // bias_a + bias_b + tz − 2wf = (scale_a − min) + (scale_b − min)
-            // + tz(prod) ≥ 0: products are multiples of min_subnormal².
-            let shift =
-                ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - 2 * self.fmt.wf() as i32;
-            debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            match &mut self.acc {
-                Accum::Small(acc) => {
-                    let signed = ((prod >> tz) as i128) << shift;
-                    if negate {
-                        *acc -= signed;
-                    } else {
-                        *acc += signed;
-                    }
-                }
-                acc => acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate),
-            }
-            return;
-        }
+    /// The reference [`Emac::mac`] datapath (Fig. 4, scalar band) without
+    /// the `macs_done` bookkeeping.
+    fn reference_mac(&mut self, weight: u32, activation: u32) {
         let (ua, ub) = match (self.decode_bits(weight), self.decode_bits(activation)) {
             (FloatClass::NaN, _)
             | (_, FloatClass::NaN)
@@ -266,346 +248,42 @@ impl FloatEmac {
             .add_shifted_u128(prod >> tz, pos as usize, ua.sign ^ ub.sign);
     }
 
-    /// One finished-product table step of the product-table kernel.
+    /// Runs `job` through the shared kernel family on the fast `band`,
+    /// with this unit's fused operands — one monomorphized body per entry
+    /// source.
     #[inline(always)]
-    fn product_step(table: &ProductLut, lanes: &mut I128Lanes, special: &mut u32, w: u32, a: u32) {
-        let p = table.entry(w, a);
-        *special |= p.0 & ProductEntry::SPECIAL_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// One finished-product step against a weight's contiguous table row
-    /// ([`ProductLut::row`]): the product tile resolves the row base once
-    /// per weight and shares it across the group's columns, so each step
-    /// is a masked index with no weight shift and no bounds check (the
-    /// row length is a power of two).
-    #[inline(always)]
-    fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, special: &mut u32, a: u32) {
-        let p = row[(a as usize) & (row.len() - 1)];
-        *special |= p.0 & ProductEntry::SPECIAL_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add_select((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// The batched fused-operand loop on the `i128` window, monomorphized
-    /// per entry source (per-pattern table vs computed bit fields) so the
-    /// inner loop is a plain gather → multiply → shifted lane-add. The net
-    /// shift `bias_w + bias_a − 2wf` may be negative (subnormal products);
-    /// the product then has at least that many trailing zeros, so the
-    /// right shift is exact — the same value the scalar path computes via
-    /// its trailing-zero count. Returns whether Inf/NaN was seen.
-    #[inline(always)]
-    fn dot_fused_small<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        wf2: i32,
-        acc: &mut i128,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut lanes = I128Lanes::from_i128(*acc);
-        let mut special = 0u64;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            special |= (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT;
-            let prod = ew.field() * ea.field();
-            let net = ew.biased_scale() as i32 + ea.biased_scale() as i32 - wf2;
-            debug_assert!(
-                prod == 0 || net >= 0 || prod.trailing_zeros() >= (-net) as u32,
-                "float products are multiples of min_sub²"
-            );
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            let term = if net >= 0 {
-                (prod as u128) << net
-            } else {
-                (prod as u128) >> (-net)
-            };
-            lanes.add(term, negate);
-        }
-        *acc = lanes.into_i128();
-        special != 0
-    }
-
-    /// The batched fused-operand loop on the medium/wide windows,
-    /// accumulating through [`Accum::add_shifted_u128`]. Returns whether
-    /// Inf/NaN was seen.
-    #[inline(always)]
-    fn dot_fused_wide<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        wf2: i32,
-        acc: &mut Accum,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut special = false;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                special = true;
-                continue;
-            }
-            let prod = ew.field() * ea.field();
-            if prod == 0 {
-                continue;
-            }
-            let tz = prod.trailing_zeros() as i32;
-            let shift = ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - wf2;
-            debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate);
-        }
-        special
-    }
-
-    /// The cache-blocked product tile ([`crate::TileKernel::BlockedProduct`]):
-    /// columns processed in [`TILE_COL_GROUP`]-wide register groups (lane
-    /// accumulators in fixed stack arrays, no heap traffic), K tiled in
-    /// [`PRODUCT_TILE_BLOCK`]-weight blocks kept hot across each group.
-    /// Exact integer adds commute, so the reordered accumulation is
-    /// bit-identical to the per-column row kernel.
-    fn tile_product(
-        &mut self,
-        table: &'static ProductLut,
-        bias: u32,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        self.set_bias(bias);
-        let seed_poisoned = self.poisoned;
-        let Accum::Small(seed) = &self.acc else {
-            unreachable!("product tile requires the i128 window")
-        };
-        let seed = *seed;
-        for (cg, og) in cols
-            .chunks(TILE_COL_GROUP)
-            .zip(out.chunks_mut(TILE_COL_GROUP))
-        {
-            self.tile_product_group(table, seed, seed_poisoned, weights, cg, og);
-        }
-    }
-
-    /// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
-    /// group runs the 4-wide micro-kernel — each weight's table row is
-    /// fetched once and shared by four independent lane chains held in
-    /// locals; partial groups stream in pairs plus a single-column tail.
-    fn tile_product_group(
-        &mut self,
-        table: &'static ProductLut,
-        seed: i128,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let g = cols.len();
-        debug_assert!(0 < g && g <= TILE_COL_GROUP && out.len() == g);
-        let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
-        let mut specials = [0u32; TILE_COL_GROUP];
-        for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-            let base = kb * PRODUCT_TILE_BLOCK;
-            let end = base + wblock.len();
-            if g == TILE_COL_GROUP {
-                let (mut l0, mut l1, mut l2, mut l3) = (lanes[0], lanes[1], lanes[2], lanes[3]);
-                let (mut s0, mut s1, mut s2, mut s3) =
-                    (specials[0], specials[1], specials[2], specials[3]);
-                let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-                let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-                for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut s0, a0);
-                    Self::product_row_step(row, &mut l1, &mut s1, a1);
-                    Self::product_row_step(row, &mut l2, &mut s2, a2);
-                    Self::product_row_step(row, &mut l3, &mut s3, a3);
-                }
-                lanes = [l0, l1, l2, l3];
-                specials = [s0, s1, s2, s3];
-                continue;
-            }
-            let mut j = 0;
-            while j + 2 <= g {
-                let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
-                let (mut s0, mut s1) = (specials[j], specials[j + 1]);
-                let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-                for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut s0, a0);
-                    Self::product_row_step(row, &mut l1, &mut s1, a1);
-                }
-                lanes[j] = l0;
-                lanes[j + 1] = l1;
-                specials[j] = s0;
-                specials[j + 1] = s1;
-                j += 2;
-            }
-            if j < g {
-                let mut l0 = lanes[j];
-                let mut s0 = specials[j];
-                for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                    Self::product_row_step(table.row(w), &mut l0, &mut s0, a);
-                }
-                lanes[j] = l0;
-                specials[j] = s0;
-            }
-        }
-        for j in 0..g {
-            self.acc = Accum::Small(lanes[j].into_i128());
-            self.poisoned = seed_poisoned || specials[j] != 0;
-            out[j] = self.result();
-        }
-    }
-
-    /// One gathered-operand step of the fused tile on the `i128` window.
-    /// The possibly-negative net shift stays exact — the product carries
-    /// at least `−net` trailing zeros.
-    #[inline(always)]
-    fn fused_step(
-        wf2: i32,
-        ew: EmacEntry,
-        ea: EmacEntry,
-        lanes: &mut I128Lanes,
-        special: &mut u64,
-    ) {
-        *special |= (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT;
-        let prod = ew.field() * ea.field();
-        let net = ew.biased_scale() as i32 + ea.biased_scale() as i32 - wf2;
-        debug_assert!(
-            prod == 0 || net >= 0 || prod.trailing_zeros() >= (-net) as u32,
-            "float products are multiples of min_sub²"
-        );
-        let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-        let term = if net >= 0 {
-            (prod as u128) << net
-        } else {
-            (prod as u128) >> (-net)
-        };
-        lanes.add_select(term, negate);
-    }
-
-    /// The gather tile on the `i128` window
-    /// ([`crate::TileKernel::GatherFused`]): weight operands gathered
-    /// once, the columns streamed four at a time through the same
-    /// branch-free inner loop as [`FloatEmac::dot_fused_small`] — four
-    /// independent lane chains per pass sharing each gathered weight
-    /// entry.
-    #[inline(always)]
-    fn tile_fused_small<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: i128,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
+    fn run(&mut self, band: MacKernel, job: Job) {
         let wf2 = 2 * self.fmt.wf() as i32;
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        let mut j = 0;
-        while j + 4 <= cols.len() {
-            let [mut l0, mut l1, mut l2, mut l3] = [I128Lanes::from_i128(seed); 4];
-            let [mut s0, mut s1, mut s2, mut s3] = [0u64; 4];
-            for ((((&ew, &a0), &a1), &a2), &a3) in wents
-                .iter()
-                .zip(cols[j].iter())
-                .zip(cols[j + 1].iter())
-                .zip(cols[j + 2].iter())
-                .zip(cols[j + 3].iter())
-            {
-                Self::fused_step(wf2, ew, entry(a0), &mut l0, &mut s0);
-                Self::fused_step(wf2, ew, entry(a1), &mut l1, &mut s1);
-                Self::fused_step(wf2, ew, entry(a2), &mut l2, &mut s2);
-                Self::fused_step(wf2, ew, entry(a3), &mut l3, &mut s3);
-            }
-            for (i, (lane, sp)) in [l0, l1, l2, l3]
-                .into_iter()
-                .zip([s0, s1, s2, s3])
-                .enumerate()
-            {
-                self.acc = Accum::Small(lane.into_i128());
-                self.poisoned = seed_poisoned || sp != 0;
-                out[j + i] = self.result();
-            }
-            j += 4;
+        match (self.emac, self.direct) {
+            (Some(t), _) => self.run_with(FloatOperands(move |b| t.entry(b), wf2), band, job),
+            (None, Some(d)) => self.run_with(FloatOperands(move |b| d.entry(b), wf2), band, job),
+            (None, None) => unreachable!("fast band without fused operands"),
         }
-        while j + 2 <= cols.len() {
-            let (mut lanes0, mut lanes1) = (I128Lanes::from_i128(seed), I128Lanes::from_i128(seed));
-            let (mut sp0, mut sp1) = (0u64, 0u64);
-            for ((&ew, &a0), &a1) in wents.iter().zip(cols[j].iter()).zip(cols[j + 1].iter()) {
-                Self::fused_step(wf2, ew, entry(a0), &mut lanes0, &mut sp0);
-                Self::fused_step(wf2, ew, entry(a1), &mut lanes1, &mut sp1);
-            }
-            self.acc = Accum::Small(lanes0.into_i128());
-            self.poisoned = seed_poisoned || sp0 != 0;
-            out[j] = self.result();
-            self.acc = Accum::Small(lanes1.into_i128());
-            self.poisoned = seed_poisoned || sp1 != 0;
-            out[j + 1] = self.result();
-            j += 2;
-        }
-        if j < cols.len() {
-            let mut lanes = I128Lanes::from_i128(seed);
-            let mut special = 0u64;
-            for (&ew, &a) in wents.iter().zip(cols[j].iter()) {
-                Self::fused_step(wf2, ew, entry(a), &mut lanes, &mut special);
-            }
-            self.acc = Accum::Small(lanes.into_i128());
-            self.poisoned = seed_poisoned || special != 0;
-            out[j] = self.result();
-        }
-        self.gather = wents;
     }
 
-    /// The gather tile on the medium/wide native windows: gathered weight
-    /// operands, per-column [`Accum`] registers cloned from the bias seed.
     #[inline(always)]
-    fn tile_fused_wide<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: Accum,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let wf2 = 2 * self.fmt.wf() as i32;
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            let mut acc = seed.clone();
-            let mut special = false;
-            for (&ew, &a) in wents.iter().zip(col.iter()) {
-                let ea = entry(a);
-                if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                    special = true;
-                    continue;
-                }
-                let prod = ew.field() * ea.field();
-                if prod == 0 {
-                    continue;
-                }
-                let tz = prod.trailing_zeros() as i32;
-                let shift = ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - wf2;
-                debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-                let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-                acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate);
+    fn run_with<O: Operands<Product = ProductEntry>>(&mut self, ops: O, band: MacKernel, job: Job) {
+        let products = (self.product)
+            .filter(|_| band == MacKernel::ProductTable)
+            .map(|t| move |w, a| t.entry(w, a));
+        match job {
+            Job::Mac(w, a) => self.poisoned |= kernel::mac(ops, &mut self.acc, w, a),
+            Job::Row(weights, xs) => {
+                let register = (&mut self.acc, &mut self.poisoned);
+                kernel::row(ops, products, register, weights, xs)
             }
-            self.acc = acc;
-            self.poisoned = seed_poisoned || special;
-            *slot = self.result();
+            Job::Tile(weights, cols, out) => {
+                let (seed, seed_poisoned) = (self.acc.clone(), self.poisoned);
+                let mut gather = std::mem::take(&mut self.gather);
+                let emit = |j: usize, acc, poisoned| {
+                    (self.acc, self.poisoned) = (acc, poisoned);
+                    out[j] = self.result();
+                };
+                let seed = (&seed, seed_poisoned);
+                kernel::tile(ops, products, &mut gather, seed, weights, cols, emit);
+                self.gather = gather;
+            }
         }
-        self.gather = wents;
     }
 }
 
@@ -629,7 +307,10 @@ impl Emac for FloatEmac {
     fn mac(&mut self, weight: u32, activation: u32) {
         self.count += 1;
         debug_assert!(self.count <= self.capacity, "float EMAC over capacity");
-        self.mac_uncounted(weight, activation);
+        match self.kernel() {
+            MacKernel::Scalar => self.reference_mac(weight, activation),
+            band => self.run(band, Job::Mac(weight, activation)),
+        }
     }
 
     fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
@@ -640,137 +321,49 @@ impl Emac for FloatEmac {
         );
         self.count += weights.len() as u64;
         debug_assert!(self.count <= self.capacity, "float EMAC over capacity");
-        // Product-table kernel (n ≤ 8, i128 window): decode, multiply and
-        // normalization are table-finished; the loop is load → lane add.
-        if let (Some(table), Accum::Small(acc)) = (self.product, &mut self.acc) {
-            let mut lanes = I128Lanes::from_i128(*acc);
-            let mut special = 0u32;
-            for (&w, &a) in weights.iter().zip(activations) {
-                Self::product_step(table, &mut lanes, &mut special, w, a);
+        match self.kernel() {
+            MacKernel::Scalar => {
+                for (&w, &a) in weights.iter().zip(activations) {
+                    self.reference_mac(w, a);
+                }
             }
-            *acc = lanes.into_i128();
-            if special != 0 {
-                self.poisoned = true;
-            }
-            return;
-        }
-        // Batched fused-operand kernel: gathered entries through a loop
-        // monomorphized per entry source, into hi/lo u64 lanes (i128
-        // window) or the medium native register. Gated on a native window
-        // exactly like `kernel()`, so a fast-table unit whose register
-        // spilled to WideInt runs (and reports) Scalar.
-        if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-            let wf2 = 2 * self.fmt.wf() as i32;
-            let poisoned = match (&mut self.acc, t) {
-                (Accum::Small(acc), FastOperands::Lut(tab)) => {
-                    Self::dot_fused_small(|b| tab.entry(b), wf2, acc, weights, activations)
-                }
-                (Accum::Small(acc), FastOperands::Direct(d)) => {
-                    Self::dot_fused_small(|b| d.entry(b), wf2, acc, weights, activations)
-                }
-                (acc, FastOperands::Lut(tab)) => {
-                    Self::dot_fused_wide(|b| tab.entry(b), wf2, acc, weights, activations)
-                }
-                (acc, FastOperands::Direct(d)) => {
-                    Self::dot_fused_wide(|b| d.entry(b), wf2, acc, weights, activations)
-                }
-            };
-            if poisoned {
-                self.poisoned = true;
-            }
-            return;
-        }
-        // Scalar kernel: the reference band loops the per-MAC datapath.
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.mac_uncounted(w, a);
+            // A row is its band's tile body with one column.
+            band => self.run(band, Job::Row(weights, activations)),
         }
     }
 
     fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
-        );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
-        }
+        kernel::check_tile(weights, cols, out);
         let (k, b) = (weights.len(), cols.len());
         if b == 0 {
             return;
         }
         debug_assert!(k as u64 <= self.capacity, "float EMAC over capacity");
-        if b >= 2 {
-            // Product band: cache-blocked tile. Same gate as `kernel()`.
-            if let (Some(table), true) = (self.product, self.acc.is_small()) {
-                self.tile_product(table, bias, weights, cols, out);
-                self.count = (k * b) as u64;
-                return;
-            }
-            // Fused band: gather the weight operands once, stream columns.
-            if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-                self.set_bias(bias);
-                let seed_poisoned = self.poisoned;
-                match (self.acc.clone(), t) {
-                    (Accum::Small(seed), FastOperands::Lut(tab)) => self.tile_fused_small(
-                        |p| tab.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (Accum::Small(seed), FastOperands::Direct(d)) => self.tile_fused_small(
-                        |p| d.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (seed, FastOperands::Lut(tab)) => self.tile_fused_wide(
-                        |p| tab.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (seed, FastOperands::Direct(d)) => self.tile_fused_wide(
-                        |p| d.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                }
-                self.count = (k * b) as u64;
-                return;
-            }
-        }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
+        let band = self.kernel();
+        if b >= 2 && band != MacKernel::Scalar {
             self.set_bias(bias);
-            self.dot_slice(weights, col);
-            *slot = self.result();
+            self.run(band, Job::Tile(weights, cols, out));
+        } else {
+            // Per-column baseline: B == 1 keeps the row kernels, the
+            // scalar band stays the differential reference at any width.
+            for (col, slot) in cols.iter().zip(out.iter_mut()) {
+                self.set_bias(bias);
+                self.dot_slice(weights, col);
+                *slot = self.result();
+            }
         }
         self.count = (k * b) as u64;
     }
 
     fn kernel(&self) -> MacKernel {
-        if self.product.is_some() && self.acc.is_small() {
+        let band = if self.product.is_some() && self.acc.is_small() {
             MacKernel::ProductTable
-        } else if self.fast.is_some() && self.acc.is_native() {
+        } else if (self.emac.is_some() || self.direct.is_some()) && self.acc.is_native() {
             MacKernel::BatchedFused
         } else {
             MacKernel::Scalar
-        }
+        };
+        band.min(self.cap)
     }
 
     fn result(&self) -> u32 {

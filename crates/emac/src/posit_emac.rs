@@ -2,28 +2,42 @@
 
 use crate::acc::Accum;
 use crate::ceil_log2;
-use crate::kernel::{I128Lanes, PRODUCT_TILE_BLOCK, TILE_COL_GROUP};
+use crate::kernel::{self, Job, Operands};
 use crate::unit::Emac;
 use crate::{MacKernel, UnsupportedFormat};
 use dp_posit::lut::{DecodeLut, EmacEntry, EmacLut, ProductEntry, ProductLut, SplitLut};
 use dp_posit::{decode, encode, Decoded, PositFormat};
 
-/// Where fused EMAC operands come from on the fast path: the monolithic
-/// per-pattern table (`n ≤ 12`) or the split regime-prefix scheme
-/// (13–16 bits). Both produce identical [`EmacEntry`] words.
-#[derive(Debug, Clone, Copy)]
-enum FastOperands {
-    Fused(&'static EmacLut),
-    Split(&'static SplitLut),
-}
+/// The posit family's kernel operands over an entry lookup (the
+/// per-pattern table or the split regime-prefix extraction): a product
+/// lands at the biased scale sum `bw + ba` — Algorithm 2 line 12's
+/// `sf + 2·max_scale` — which is never negative.
+#[derive(Clone, Copy)]
+struct PositOperands<E>(E);
 
-impl FastOperands {
-    #[inline]
-    fn entry(self, bits: u32) -> EmacEntry {
-        match self {
-            FastOperands::Fused(t) => t.entry(bits),
-            FastOperands::Split(s) => s.entry(bits),
-        }
+impl<E: Fn(u32) -> EmacEntry + Copy> Operands for PositOperands<E> {
+    type Product = ProductEntry;
+    const SPECIAL: u64 = EmacEntry::NAR_BIT;
+
+    #[inline(always)]
+    fn product_word(p: ProductEntry) -> u32 {
+        p.0
+    }
+
+    #[inline(always)]
+    fn entry(self, bits: u32) -> u64 {
+        (self.0)(bits).0
+    }
+
+    #[inline(always)]
+    fn term(self, prod: u64, scales: u32) -> u128 {
+        debug_assert!(scales + (64 - prod.leading_zeros()) <= 127);
+        (prod as u128) << scales
+    }
+
+    #[inline(always)]
+    fn wide_term(self, prod: u64, scales: u32) -> (u128, usize) {
+        (prod as u128, scales as usize)
     }
 }
 
@@ -97,15 +111,17 @@ pub struct PositEmac {
     acc: Accum,
     /// Monolithic decode table for the format, when one exists (`n ≤ 12`).
     lut: Option<&'static DecodeLut>,
-    /// Split regime-prefix table for 13–16-bit formats.
+    /// Split regime-prefix table for 13–16-bit formats: decode, and the
+    /// fused operands of the kernel bands.
     split: Option<&'static SplitLut>,
-    /// Fused decode + front-end operands driving the one-lookup MAC loop
-    /// (`n ≤ 12`: per-pattern table; 13–16: split-table extraction).
-    fast: Option<FastOperands>,
+    /// Fused decode + front-end operands for `n ≤ 12` formats.
+    emac: Option<&'static EmacLut>,
     /// Finished-product table for `n ≤ 8` formats: decode *and* multiply
     /// collapse into one `2^(2n)`-entry lookup ([`MacKernel::ProductTable`]
     /// when the accumulator window is an `i128`).
     product: Option<&'static ProductLut>,
+    /// The fastest kernel this unit may select ([`PositEmac::with_kernel_cap`]).
+    cap: MacKernel,
     /// `F`: significand width including the hidden bit, `n − 2 − es`.
     fbits: u32,
     /// Algorithm 2's `bias`: `2^(es+1) × (n − 2)` = 2 × max_scale.
@@ -116,7 +132,7 @@ pub struct PositEmac {
     /// across [`Emac::dot_tile`] calls so a tile sweep over a layer does
     /// not allocate per weight row. Never semantic: cleared and refilled
     /// on each gather-tile call.
-    gather: Vec<EmacEntry>,
+    gather: Vec<u64>,
 }
 
 impl PositEmac {
@@ -143,23 +159,19 @@ impl PositEmac {
     pub fn try_new(fmt: PositFormat, capacity: u64) -> Result<Self, UnsupportedFormat> {
         Self::check_format(fmt)?;
         let capacity = capacity.max(1);
-        let (lut, split, fast) = if fmt.n() <= dp_posit::lut::MAX_LUT_WIDTH {
-            let lut = dp_posit::lut::cached(fmt);
-            let fast = dp_posit::lut::emac_cached(fmt).map(FastOperands::Fused);
-            (lut, None, fast)
-        } else {
-            let split = dp_posit::lut::split_cached(fmt);
-            (None, split, split.map(FastOperands::Split))
-        };
-        Ok(Self::build(
+        let mut unit = Self::build(
             fmt,
             capacity,
-            lut,
-            split,
-            fast,
-            dp_posit::lut::product_cached(fmt),
             Accum::new(Self::accumulator_width_for(fmt, capacity)),
-        ))
+        );
+        if fmt.n() <= dp_posit::lut::MAX_LUT_WIDTH {
+            unit.lut = dp_posit::lut::cached(fmt);
+            unit.emac = dp_posit::lut::emac_cached(fmt);
+        } else {
+            unit.split = dp_posit::lut::split_cached(fmt);
+        }
+        unit.product = dp_posit::lut::product_cached(fmt);
+        Ok(unit)
     }
 
     /// Creates a unit on the pre-LUT reference datapath: Algorithm-1
@@ -176,28 +188,19 @@ impl PositEmac {
         Self::build(
             fmt,
             capacity,
-            None,
-            None,
-            None,
-            None,
             Accum::new_wide(Self::accumulator_width_for(fmt, capacity)),
         )
     }
 
     /// Caps the slice-level kernel this unit may select — a bench/test
     /// knob for comparing kernels on one format. [`MacKernel::ProductTable`]
-    /// (the default cap) changes nothing; [`MacKernel::BatchedFused`] drops
-    /// the finished-product table; [`MacKernel::Scalar`] additionally drops
-    /// the fused operands, so [`Emac::dot_slice`] loops the scalar
-    /// datapath. The decode tables and the accumulator window are
-    /// untouched, so results stay bit-identical under any cap.
+    /// (the default cap) changes nothing; [`MacKernel::BatchedFused`] keeps
+    /// the unit off the finished-product table; [`MacKernel::Scalar`]
+    /// additionally off the fused operands, so [`Emac::dot_slice`] loops
+    /// the scalar datapath. The decode tables and the accumulator window
+    /// are untouched, so results stay bit-identical under any cap.
     pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
-        }
-        if cap < MacKernel::BatchedFused {
-            self.fast = None;
-        }
+        self.cap = cap;
         self
     }
 
@@ -211,24 +214,17 @@ impl PositEmac {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        fmt: PositFormat,
-        capacity: u64,
-        lut: Option<&'static DecodeLut>,
-        split: Option<&'static SplitLut>,
-        fast: Option<FastOperands>,
-        product: Option<&'static ProductLut>,
-        acc: Accum,
-    ) -> Self {
+    /// A unit with no tables: the reference datapath on `acc`.
+    fn build(fmt: PositFormat, capacity: u64, acc: Accum) -> Self {
         PositEmac {
             fmt,
             capacity,
             acc,
-            lut,
-            split,
-            fast,
-            product,
+            lut: None,
+            split: None,
+            emac: None,
+            product: None,
+            cap: MacKernel::ProductTable,
             fbits: fmt.n() - 2 - fmt.es(),
             sf_bias: 2 * fmt.max_scale(),
             count: 0,
@@ -240,7 +236,7 @@ impl PositEmac {
     /// True when this unit runs the fused table/split operands + native
     /// (`i128` or two-word 256-bit) accumulator fast path.
     pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some() && self.acc.is_native()
+        self.kernel() != MacKernel::Scalar
     }
 
     /// Decode via the monolithic table (`n ≤ 12`) or the split table
@@ -285,46 +281,9 @@ impl PositEmac {
         self.acc.add_shifted_u128(frac, sf_lsb as usize, sign);
     }
 
-    /// The [`Emac::mac`] datapath without the `macs_done` bookkeeping —
-    /// shared by the scalar entry point and [`Emac::dot_slice`]'s scalar
-    /// kernel (which advances the counter once per slice).
-    #[inline]
-    fn mac_uncounted(&mut self, weight: u32, activation: u32) {
-        // Fused fast path: one operand word (from the per-pattern table at
-        // n ≤ 12, or the split regime-prefix extraction at 13–16 bits)
-        // carries the F-bit significand and the per-operand biased scale,
-        // so the whole of Algorithm 1 + Algorithm 2's front half becomes
-        // two loads/extractions, one small multiply and one shifted native
-        // add. Bit-identical to the datapath below (fast_path_equivalence
-        // tests).
-        if let Some(t) = self.fast {
-            let ew = t.entry(weight);
-            let ea = t.entry(activation);
-            if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                self.nar = true;
-                return;
-            }
-            let prod = ew.field() * ea.field(); // < 2^(2F) <= 2^28
-            if prod == 0 {
-                return;
-            }
-            // biased_a + biased_b = sf_mult + 2·max_scale = Alg. 2 line 12.
-            let shift = ew.biased_scale() + ea.biased_scale();
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            match &mut self.acc {
-                Accum::Small(acc) => {
-                    debug_assert!(shift as u32 + (64 - prod.leading_zeros()) <= 127);
-                    let signed = (prod as i128) << shift;
-                    if negate {
-                        *acc -= signed;
-                    } else {
-                        *acc += signed;
-                    }
-                }
-                acc => acc.add_shifted_u128(prod as u128, shift as usize, negate),
-            }
-            return;
-        }
+    /// The reference [`Emac::mac`] datapath (Algorithms 1–2, scalar band)
+    /// without the `macs_done` bookkeeping.
+    fn reference_mac(&mut self, weight: u32, activation: u32) {
         let (uw, ua) = match (self.decode_bits(weight), self.decode_bits(activation)) {
             (Decoded::NaR, _) | (_, Decoded::NaR) => {
                 self.nar = true;
@@ -348,311 +307,41 @@ impl PositEmac {
         self.add_sig(uw.sign ^ ua.sign, prod, sf_biased);
     }
 
-    /// One finished-product table step of the product-table kernel.
+    /// Runs `job` through the shared kernel family on the fast `band`,
+    /// with this unit's fused operands — one monomorphized body per entry
+    /// source.
     #[inline(always)]
-    fn product_step(table: &ProductLut, lanes: &mut I128Lanes, nar: &mut u32, w: u32, a: u32) {
-        let p = table.entry(w, a);
-        *nar |= p.0 & ProductEntry::NAR_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add((p.product() as u128) << p.shift(), p.negate());
+    fn run(&mut self, band: MacKernel, job: Job) {
+        match (self.emac, self.split) {
+            (Some(t), _) => self.run_with(PositOperands(move |b| t.entry(b)), band, job),
+            (None, Some(s)) => self.run_with(PositOperands(move |b| s.entry(b)), band, job),
+            (None, None) => unreachable!("fast band without fused operands"),
+        }
     }
 
-    /// One finished-product step against a weight's contiguous table row
-    /// ([`ProductLut::row`]): the product tile resolves the row base once
-    /// per weight and shares it across the group's columns, so each step
-    /// is a masked index with no weight shift and no bounds check (the
-    /// row length is a power of two).
     #[inline(always)]
-    fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, nar: &mut u32, a: u32) {
-        let p = row[(a as usize) & (row.len() - 1)];
-        *nar |= p.0 & ProductEntry::NAR_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add_select((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// The batched fused-operand loop on the `i128` window, monomorphized
-    /// per entry source (monolithic table vs split extraction) so the
-    /// inner loop is a plain gather → multiply → shifted lane-add with no
-    /// per-element enum dispatch. Returns whether NaR was seen.
-    #[inline(always)]
-    fn dot_fused_small<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        acc: &mut i128,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut lanes = I128Lanes::from_i128(*acc);
-        let mut nar = 0u64;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            nar |= (ew.0 | ea.0) & EmacEntry::NAR_BIT;
-            let prod = ew.field() * ea.field();
-            let shift = (ew.biased_scale() + ea.biased_scale()) as u32;
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            lanes.add((prod as u128) << shift, negate);
-        }
-        *acc = lanes.into_i128();
-        nar != 0
-    }
-
-    /// The batched fused-operand loop on the medium/wide windows,
-    /// monomorphized like [`PositEmac::dot_fused_small`] but accumulating
-    /// through [`Accum::add_shifted_u128`]. Returns whether NaR was seen.
-    #[inline(always)]
-    fn dot_fused_wide<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        acc: &mut Accum,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut nar = false;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                nar = true;
-                continue;
+    fn run_with<O: Operands<Product = ProductEntry>>(&mut self, ops: O, band: MacKernel, job: Job) {
+        let products = (self.product)
+            .filter(|_| band == MacKernel::ProductTable)
+            .map(|t| move |w, a| t.entry(w, a));
+        match job {
+            Job::Mac(w, a) => self.nar |= kernel::mac(ops, &mut self.acc, w, a),
+            Job::Row(weights, xs) => {
+                let register = (&mut self.acc, &mut self.nar);
+                kernel::row(ops, products, register, weights, xs)
             }
-            let prod = ew.field() * ea.field();
-            if prod == 0 {
-                continue;
-            }
-            let shift = ew.biased_scale() + ea.biased_scale();
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            acc.add_shifted_u128(prod as u128, shift as usize, negate);
-        }
-        nar
-    }
-
-    /// The cache-blocked product tile ([`crate::TileKernel::BlockedProduct`]):
-    /// columns are processed in [`TILE_COL_GROUP`]-wide register groups,
-    /// each group's lane accumulators living in fixed stack arrays (no
-    /// heap traffic), with K tiled in [`PRODUCT_TILE_BLOCK`]-weight
-    /// blocks so a block's `2^n`-entry table rows stay hot across the
-    /// group. Exact integer adds commute, so the reordered accumulation
-    /// is bit-identical to the per-column row kernel.
-    fn tile_product(
-        &mut self,
-        table: &'static ProductLut,
-        bias: u32,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        self.set_bias(bias);
-        let seed_nar = self.nar;
-        let Accum::Small(seed) = &self.acc else {
-            unreachable!("product tile requires the i128 window")
-        };
-        let seed = *seed;
-        for (cg, og) in cols
-            .chunks(TILE_COL_GROUP)
-            .zip(out.chunks_mut(TILE_COL_GROUP))
-        {
-            self.tile_product_group(table, seed, seed_nar, weights, cg, og);
-        }
-    }
-
-    /// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
-    /// group runs the 4-wide micro-kernel — each weight's table row is
-    /// fetched once and shared by four independent lane chains held in
-    /// locals; partial groups stream in pairs plus a single-column tail.
-    fn tile_product_group(
-        &mut self,
-        table: &'static ProductLut,
-        seed: i128,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let g = cols.len();
-        debug_assert!(0 < g && g <= TILE_COL_GROUP && out.len() == g);
-        let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
-        let mut nars = [0u32; TILE_COL_GROUP];
-        for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-            let base = kb * PRODUCT_TILE_BLOCK;
-            let end = base + wblock.len();
-            if g == TILE_COL_GROUP {
-                let (mut l0, mut l1, mut l2, mut l3) = (lanes[0], lanes[1], lanes[2], lanes[3]);
-                let (mut n0, mut n1, mut n2, mut n3) = (nars[0], nars[1], nars[2], nars[3]);
-                let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-                let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-                for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut n0, a0);
-                    Self::product_row_step(row, &mut l1, &mut n1, a1);
-                    Self::product_row_step(row, &mut l2, &mut n2, a2);
-                    Self::product_row_step(row, &mut l3, &mut n3, a3);
-                }
-                lanes = [l0, l1, l2, l3];
-                nars = [n0, n1, n2, n3];
-                continue;
-            }
-            let mut j = 0;
-            while j + 2 <= g {
-                let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
-                let (mut n0, mut n1) = (nars[j], nars[j + 1]);
-                let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-                for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut n0, a0);
-                    Self::product_row_step(row, &mut l1, &mut n1, a1);
-                }
-                lanes[j] = l0;
-                lanes[j + 1] = l1;
-                nars[j] = n0;
-                nars[j + 1] = n1;
-                j += 2;
-            }
-            if j < g {
-                let mut l0 = lanes[j];
-                let mut n0 = nars[j];
-                for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                    Self::product_row_step(table.row(w), &mut l0, &mut n0, a);
-                }
-                lanes[j] = l0;
-                nars[j] = n0;
+            Job::Tile(weights, cols, out) => {
+                let (seed, seed_nar) = (self.acc.clone(), self.nar);
+                let mut gather = std::mem::take(&mut self.gather);
+                let emit = |j: usize, acc, nar| {
+                    (self.acc, self.nar) = (acc, nar);
+                    out[j] = self.result();
+                };
+                let seed = (&seed, seed_nar);
+                kernel::tile(ops, products, &mut gather, seed, weights, cols, emit);
+                self.gather = gather;
             }
         }
-        for j in 0..g {
-            self.acc = Accum::Small(lanes[j].into_i128());
-            self.nar = seed_nar || nars[j] != 0;
-            out[j] = self.result();
-        }
-    }
-
-    /// One gathered-operand step of the fused tile on the `i128` window.
-    #[inline(always)]
-    fn fused_step(ew: EmacEntry, ea: EmacEntry, lanes: &mut I128Lanes, nar: &mut u64) {
-        *nar |= (ew.0 | ea.0) & EmacEntry::NAR_BIT;
-        let prod = ew.field() * ea.field();
-        let shift = (ew.biased_scale() + ea.biased_scale()) as u32;
-        let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-        lanes.add_select((prod as u128) << shift, negate);
-    }
-
-    /// The gather tile on the `i128` window
-    /// ([`crate::TileKernel::GatherFused`]): the weight row's fused
-    /// operands are gathered **once**, then the columns stream four at a
-    /// time through the same branch-free inner loop as
-    /// [`PositEmac::dot_fused_small`] — per-lane adds only, four
-    /// independent lane chains per pass sharing each gathered weight
-    /// entry, shaped for a future `std::simd` lowering with
-    /// [`I128Lanes`] as the lane fallback.
-    #[inline(always)]
-    fn tile_fused_small<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: i128,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        let mut j = 0;
-        while j + 4 <= cols.len() {
-            let [mut l0, mut l1, mut l2, mut l3] = [I128Lanes::from_i128(seed); 4];
-            let [mut n0, mut n1, mut n2, mut n3] = [0u64; 4];
-            for ((((&ew, &a0), &a1), &a2), &a3) in wents
-                .iter()
-                .zip(cols[j].iter())
-                .zip(cols[j + 1].iter())
-                .zip(cols[j + 2].iter())
-                .zip(cols[j + 3].iter())
-            {
-                Self::fused_step(ew, entry(a0), &mut l0, &mut n0);
-                Self::fused_step(ew, entry(a1), &mut l1, &mut n1);
-                Self::fused_step(ew, entry(a2), &mut l2, &mut n2);
-                Self::fused_step(ew, entry(a3), &mut l3, &mut n3);
-            }
-            for (i, (lane, nar)) in [l0, l1, l2, l3]
-                .into_iter()
-                .zip([n0, n1, n2, n3])
-                .enumerate()
-            {
-                self.acc = Accum::Small(lane.into_i128());
-                self.nar = seed_nar || nar != 0;
-                out[j + i] = self.result();
-            }
-            j += 4;
-        }
-        while j + 2 <= cols.len() {
-            let (mut lanes0, mut lanes1) = (I128Lanes::from_i128(seed), I128Lanes::from_i128(seed));
-            let (mut nar0, mut nar1) = (0u64, 0u64);
-            for ((&ew, &a0), &a1) in wents.iter().zip(cols[j].iter()).zip(cols[j + 1].iter()) {
-                Self::fused_step(ew, entry(a0), &mut lanes0, &mut nar0);
-                Self::fused_step(ew, entry(a1), &mut lanes1, &mut nar1);
-            }
-            self.acc = Accum::Small(lanes0.into_i128());
-            self.nar = seed_nar || nar0 != 0;
-            out[j] = self.result();
-            self.acc = Accum::Small(lanes1.into_i128());
-            self.nar = seed_nar || nar1 != 0;
-            out[j + 1] = self.result();
-            j += 2;
-        }
-        if j < cols.len() {
-            let mut lanes = I128Lanes::from_i128(seed);
-            let mut nar = 0u64;
-            for (&ew, &a) in wents.iter().zip(cols[j].iter()) {
-                Self::fused_step(ew, entry(a), &mut lanes, &mut nar);
-            }
-            self.acc = Accum::Small(lanes.into_i128());
-            self.nar = seed_nar || nar != 0;
-            out[j] = self.result();
-        }
-        self.gather = wents;
-    }
-
-    /// The gather tile on the medium/wide native windows: gathered weight
-    /// operands, per-column [`Accum`] registers cloned from the bias seed.
-    #[inline(always)]
-    fn tile_fused_wide<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: Accum,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            let mut acc = seed.clone();
-            let mut nar = false;
-            for (&ew, &a) in wents.iter().zip(col.iter()) {
-                let ea = entry(a);
-                if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                    nar = true;
-                    continue;
-                }
-                let prod = ew.field() * ea.field();
-                if prod == 0 {
-                    continue;
-                }
-                let shift = ew.biased_scale() + ea.biased_scale();
-                let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-                acc.add_shifted_u128(prod as u128, shift as usize, negate);
-            }
-            self.acc = acc;
-            self.nar = seed_nar || nar;
-            *slot = self.result();
-        }
-        self.gather = wents;
     }
 }
 
@@ -683,7 +372,10 @@ impl Emac for PositEmac {
     fn mac(&mut self, weight: u32, activation: u32) {
         self.count += 1;
         debug_assert!(self.count <= self.capacity, "posit EMAC over capacity");
-        self.mac_uncounted(weight, activation);
+        match self.kernel() {
+            MacKernel::Scalar => self.reference_mac(weight, activation),
+            band => self.run(band, Job::Mac(weight, activation)),
+        }
     }
 
     fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
@@ -694,116 +386,49 @@ impl Emac for PositEmac {
         );
         self.count += weights.len() as u64;
         debug_assert!(self.count <= self.capacity, "posit EMAC over capacity");
-        // Product-table kernel (n ≤ 8, i128 window): decode and multiply
-        // are both table-finished; the loop is load → shifted lane add.
-        if let (Some(table), Accum::Small(acc)) = (self.product, &mut self.acc) {
-            let mut lanes = I128Lanes::from_i128(*acc);
-            let mut nar = 0u32;
-            for (&w, &a) in weights.iter().zip(activations) {
-                Self::product_step(table, &mut lanes, &mut nar, w, a);
+        match self.kernel() {
+            MacKernel::Scalar => {
+                for (&w, &a) in weights.iter().zip(activations) {
+                    self.reference_mac(w, a);
+                }
             }
-            *acc = lanes.into_i128();
-            if nar != 0 {
-                self.nar = true;
-            }
-            return;
-        }
-        // Batched fused-operand kernel: gathered entries through a loop
-        // monomorphized per entry source, into hi/lo u64 lanes (i128
-        // window) or the native 256-bit register (medium window). Gated on
-        // a native window exactly like `kernel()`, so a fast-table unit
-        // whose register spilled to WideInt runs (and reports) Scalar.
-        if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-            let nar_seen = match (&mut self.acc, t) {
-                (Accum::Small(acc), FastOperands::Fused(tab)) => {
-                    Self::dot_fused_small(|b| tab.entry(b), acc, weights, activations)
-                }
-                (Accum::Small(acc), FastOperands::Split(s)) => {
-                    Self::dot_fused_small(|b| s.entry(b), acc, weights, activations)
-                }
-                (acc, FastOperands::Fused(tab)) => {
-                    Self::dot_fused_wide(|b| tab.entry(b), acc, weights, activations)
-                }
-                (acc, FastOperands::Split(s)) => {
-                    Self::dot_fused_wide(|b| s.entry(b), acc, weights, activations)
-                }
-            };
-            if nar_seen {
-                self.nar = true;
-            }
-            return;
-        }
-        // Scalar kernel: the reference band loops the per-MAC datapath.
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.mac_uncounted(w, a);
+            // A row is its band's tile body with one column.
+            band => self.run(band, Job::Row(weights, activations)),
         }
     }
 
     fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
-        );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
-        }
+        kernel::check_tile(weights, cols, out);
         let (k, b) = (weights.len(), cols.len());
         if b == 0 {
             return;
         }
         debug_assert!(k as u64 <= self.capacity, "posit EMAC over capacity");
-        if b >= 2 {
-            // Product band: cache-blocked tile. Same gate as `kernel()`.
-            if let (Some(table), true) = (self.product, self.acc.is_small()) {
-                self.tile_product(table, bias, weights, cols, out);
-                self.count = (k * b) as u64;
-                return;
-            }
-            // Fused band: gather the weight operands once, stream columns.
-            if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-                self.set_bias(bias);
-                let seed_nar = self.nar;
-                match (self.acc.clone(), t) {
-                    (Accum::Small(seed), FastOperands::Fused(tab)) => {
-                        self.tile_fused_small(|p| tab.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (Accum::Small(seed), FastOperands::Split(s)) => {
-                        self.tile_fused_small(|p| s.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (seed, FastOperands::Fused(tab)) => {
-                        self.tile_fused_wide(|p| tab.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (seed, FastOperands::Split(s)) => {
-                        self.tile_fused_wide(|p| s.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                }
-                self.count = (k * b) as u64;
-                return;
-            }
-        }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
+        let band = self.kernel();
+        if b >= 2 && band != MacKernel::Scalar {
             self.set_bias(bias);
-            self.dot_slice(weights, col);
-            *slot = self.result();
+            self.run(band, Job::Tile(weights, cols, out));
+        } else {
+            // Per-column baseline: B == 1 keeps the row kernels, the
+            // scalar band stays the differential reference at any width.
+            for (col, slot) in cols.iter().zip(out.iter_mut()) {
+                self.set_bias(bias);
+                self.dot_slice(weights, col);
+                *slot = self.result();
+            }
         }
         self.count = (k * b) as u64;
     }
 
     fn kernel(&self) -> MacKernel {
-        if self.product.is_some() && self.acc.is_small() {
+        let band = if self.product.is_some() && self.acc.is_small() {
             MacKernel::ProductTable
-        } else if self.fast.is_some() && self.acc.is_native() {
+        } else if (self.emac.is_some() || self.split.is_some()) && self.acc.is_native() {
             MacKernel::BatchedFused
         } else {
             MacKernel::Scalar
-        }
+        };
+        band.min(self.cap)
     }
 
     fn result(&self) -> u32 {

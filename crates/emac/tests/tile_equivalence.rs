@@ -10,7 +10,13 @@
 //!   holds one constant activation pattern).
 //! * **Gathered fused (9–16 bits)** and **per-column scalar (> 16 bits)**
 //!   — randomized tile-vs-expansion bit-identity with random biases,
-//!   including K = 0, B ∈ {0, 1} and ragged (non-power-of-two) B.
+//!   including K = 0, B ∈ {0, 1} and ragged (non-power-of-two) B; every
+//!   column is also checked against an independent reference unit
+//!   (`new_reference` for posit/float, the scalar-capped twin for fixed),
+//!   since the expansion's `dot_slice` runs the same kernel bodies.
+//! * **Ragged ≤ 8-bit tiles** — the same randomized check on the blocked
+//!   product band and, under a `BatchedFused` cap, the gathered fused
+//!   band, with K across the 32-weight block boundary and B < 11.
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
 //!   K × B, agreeing with slice/scalar/reference paths fed the same
 //!   K × B workload; B = 0 is a state no-op.
@@ -35,9 +41,16 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 
 /// Runs one tile through `unit.dot_tile` and checks every column against
 /// the per-column `set_bias → dot_slice → result` expansion on a clone of
-/// the same unit (same kernel selection), plus the K × B accounting and
+/// the same unit (same kernel selection) and against an independent
+/// `reference` unit's scalar `mac()` loop, plus the K × B accounting and
 /// the last-column state contract.
-fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols: &[Vec<u32>]) {
+fn tile_vs_expansion<E: Emac + Clone>(
+    unit: &mut E,
+    reference: &mut E,
+    bias: u32,
+    ws: &[u32],
+    cols: &[Vec<u32>],
+) {
     let col_refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
     let mut out = vec![0u32; cols.len()];
     unit.dot_tile(bias, ws, &col_refs, &mut out);
@@ -46,6 +59,11 @@ fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols:
         expansion.set_bias(bias);
         expansion.dot_slice(ws, col);
         assert_eq!(got, expansion.result(), "tile vs expansion column");
+        reference.set_bias(bias);
+        for (&w, &a) in ws.iter().zip(col) {
+            reference.mac(w, a);
+        }
+        assert_eq!(got, reference.result(), "tile vs reference column");
     }
     if !cols.is_empty() {
         assert_eq!(
@@ -58,6 +76,40 @@ fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols:
             out[cols.len() - 1],
             "unit state after the tile must equal the last column's"
         );
+    }
+}
+
+/// Sixty random tiles with random biases — always including K = 0,
+/// B ∈ {0, 1} and a ragged B = 7, then K < `kmax` and B < 11 — through
+/// `unit(k)`, which must select `want` at B ≥ 2, each checked by
+/// [`tile_vs_expansion`] against `reference(k)`.
+fn randomized_tiles<E: Emac + Clone>(
+    next: &mut impl FnMut() -> u64,
+    mask: u32,
+    kmax: u64,
+    want: TileKernel,
+    unit: impl Fn(u64) -> E,
+    reference: impl Fn(u64) -> E,
+) {
+    for trial in 0..60 {
+        let (k, b) = match trial {
+            0 => (0usize, 8usize),
+            1 => (24, 0),
+            2 => (24, 1),
+            3 => (24, 7),
+            _ => ((next() % kmax) as usize, (next() % 11) as usize),
+        };
+        let capacity = k.max(1) as u64;
+        let mut fast = unit(capacity);
+        if b >= 2 {
+            assert_eq!(fast.tile_kernel(b), want);
+        }
+        let bias = (next() as u32) & mask;
+        let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & mask).collect();
+        let cols: Vec<Vec<u32>> = (0..b)
+            .map(|_| (0..k).map(|_| (next() as u32) & mask).collect())
+            .collect();
+        tile_vs_expansion(&mut fast, &mut reference(capacity), bias, &ws, &cols);
     }
 }
 
@@ -166,102 +218,166 @@ fn fixed8_tile_matches_scalar_exhaustively() {
 #[test]
 fn posit_gathered_and_scalar_tiles_match_randomized() {
     // 13–16-bit formats (gathered fused tile over split/monolithic
-    // operands) and > 16-bit formats (per-column scalar) — random tiles
-    // with random biases, always including K = 0, B ∈ {0, 1} and ragged
-    // batch widths.
+    // operands) and > 16-bit formats (per-column scalar), then the 8-bit
+    // bands — blocked product, and gathered fused under a cap — with K
+    // across the 32-weight block boundary so the pair and tail groups
+    // run on ragged batch widths.
     let mut next = xorshift(0x711e_c0de ^ 0x51ce_ba7c_4ed0_7e57);
-    for (n, es, want) in [
-        (13u32, 0u32, TileKernel::GatherFused),
-        (14, 1, TileKernel::GatherFused),
-        (16, 2, TileKernel::GatherFused),
-        (17, 1, TileKernel::PerColumn(MacKernel::Scalar)),
-        (20, 2, TileKernel::PerColumn(MacKernel::Scalar)),
+    for (n, es, cap, kmax, want) in [
+        (
+            13u32,
+            0u32,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::GatherFused,
+        ),
+        (14, 1, MacKernel::ProductTable, 48, TileKernel::GatherFused),
+        (16, 2, MacKernel::ProductTable, 48, TileKernel::GatherFused),
+        (
+            17,
+            1,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ),
+        (
+            20,
+            2,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ),
+        (
+            8,
+            0,
+            MacKernel::ProductTable,
+            100,
+            TileKernel::BlockedProduct,
+        ),
+        (
+            8,
+            1,
+            MacKernel::ProductTable,
+            100,
+            TileKernel::BlockedProduct,
+        ),
+        (
+            8,
+            2,
+            MacKernel::ProductTable,
+            100,
+            TileKernel::BlockedProduct,
+        ),
+        (8, 0, MacKernel::BatchedFused, 100, TileKernel::GatherFused),
+        (8, 1, MacKernel::BatchedFused, 100, TileKernel::GatherFused),
+        (8, 2, MacKernel::BatchedFused, 100, TileKernel::GatherFused),
     ] {
         let fmt = PositFormat::new(n, es).unwrap();
-        for trial in 0..60 {
-            let (k, b) = match trial {
-                0 => (0usize, 8usize),
-                1 => (24, 0),
-                2 => (24, 1),
-                3 => (24, 7),
-                _ => ((next() % 48) as usize, (next() % 11) as usize),
-            };
-            let mut unit = PositEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
-            let bias = (next() as u32) & fmt.mask();
-            let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & fmt.mask()).collect();
-            let cols: Vec<Vec<u32>> = (0..b)
-                .map(|_| (0..k).map(|_| (next() as u32) & fmt.mask()).collect())
-                .collect();
-            tile_vs_expansion(&mut unit, bias, &ws, &cols);
-        }
+        randomized_tiles(
+            &mut next,
+            fmt.mask(),
+            kmax,
+            want,
+            |k| PositEmac::new(fmt, k).with_kernel_cap(cap),
+            |k| PositEmac::new_reference(fmt, k),
+        );
     }
 }
 
 #[test]
 fn minifloat_gathered_and_scalar_tiles_match_randomized() {
     let mut next = xorshift(0xf10a_7b47_0000_711e ^ 0xffff);
-    for (we, wf, want) in [
-        (4u32, 8u32, TileKernel::GatherFused),             // n = 13
-        (5, 10, TileKernel::GatherFused),                  // n = 16
-        (5, 11, TileKernel::PerColumn(MacKernel::Scalar)), // n = 17
-        (8, 14, TileKernel::PerColumn(MacKernel::Scalar)), // n = 23
+    for (we, wf, cap, kmax, want) in [
+        (
+            4u32,
+            8u32,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::GatherFused,
+        ), // n = 13
+        (5, 10, MacKernel::ProductTable, 48, TileKernel::GatherFused), // n = 16
+        (
+            5,
+            11,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ), // n = 17
+        (
+            8,
+            14,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ), // n = 23
+        (
+            4,
+            3,
+            MacKernel::ProductTable,
+            100,
+            TileKernel::BlockedProduct,
+        ), // n = 8
+        (4, 3, MacKernel::BatchedFused, 100, TileKernel::GatherFused), // n = 8
     ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
-        for trial in 0..60 {
-            let (k, b) = match trial {
-                0 => (0usize, 8usize),
-                1 => (24, 0),
-                2 => (24, 1),
-                3 => (24, 7),
-                _ => ((next() % 48) as usize, (next() % 11) as usize),
-            };
-            let mut unit = FloatEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
-            let bias = (next() as u32) & fmt.mask();
-            let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & fmt.mask()).collect();
-            let cols: Vec<Vec<u32>> = (0..b)
-                .map(|_| (0..k).map(|_| (next() as u32) & fmt.mask()).collect())
-                .collect();
-            tile_vs_expansion(&mut unit, bias, &ws, &cols);
-        }
+        randomized_tiles(
+            &mut next,
+            fmt.mask(),
+            kmax,
+            want,
+            |k| FloatEmac::new(fmt, k).with_kernel_cap(cap),
+            |k| FloatEmac::new_reference(fmt, k),
+        );
     }
 }
 
 #[test]
 fn fixed_gathered_and_scalar_tiles_match_randomized() {
+    // The fixed unit has no WideInt variant; its scalar-capped twin is the
+    // reference datapath.
     let mut next = xorshift(0xf1ed_711e_4ed0_5eed ^ 0xaaaa);
-    for (n, q, want) in [
-        (13u32, 6u32, TileKernel::GatherFused),
-        (16, 8, TileKernel::GatherFused),
-        (17, 8, TileKernel::PerColumn(MacKernel::Scalar)),
-        (24, 12, TileKernel::PerColumn(MacKernel::Scalar)),
+    for (n, q, cap, kmax, want) in [
+        (
+            13u32,
+            6u32,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::GatherFused,
+        ),
+        (16, 8, MacKernel::ProductTable, 48, TileKernel::GatherFused),
+        (
+            17,
+            8,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ),
+        (
+            24,
+            12,
+            MacKernel::ProductTable,
+            48,
+            TileKernel::PerColumn(MacKernel::Scalar),
+        ),
+        (
+            8,
+            6,
+            MacKernel::ProductTable,
+            100,
+            TileKernel::BlockedProduct,
+        ),
+        (8, 6, MacKernel::BatchedFused, 100, TileKernel::GatherFused),
     ] {
         let fmt = FixedFormat::new(n, q).unwrap();
         let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-        for trial in 0..60 {
-            let (k, b) = match trial {
-                0 => (0usize, 8usize),
-                1 => (24, 0),
-                2 => (24, 1),
-                3 => (24, 7),
-                _ => ((next() % 48) as usize, (next() % 11) as usize),
-            };
-            let mut unit = FixedEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
-            let bias = (next() as u32) & mask;
-            let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & mask).collect();
-            let cols: Vec<Vec<u32>> = (0..b)
-                .map(|_| (0..k).map(|_| (next() as u32) & mask).collect())
-                .collect();
-            tile_vs_expansion(&mut unit, bias, &ws, &cols);
-        }
+        randomized_tiles(
+            &mut next,
+            mask,
+            kmax,
+            want,
+            |k| FixedEmac::new(fmt, k).with_kernel_cap(cap),
+            |k| FixedEmac::new(fmt, k).with_kernel_cap(MacKernel::Scalar),
+        );
     }
 }
 
